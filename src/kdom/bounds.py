@@ -18,12 +18,7 @@ from dataclasses import dataclass
 from .constructions import direct_product
 from .errors import BudgetExceeded, DisconnectedInput, InfiniteDiameter, InfiniteRadius
 from .graph import Graph
-from .solver import Certificate, gamma_k_exact, greedy_upper, packing_lower
-
-
-def _check_k(k: int) -> None:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+from .solver import Certificate, _check_k, gamma_k_exact, greedy_upper, packing_lower
 
 
 def lb_diameter(diameter: float, k: int) -> int:

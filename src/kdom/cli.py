@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 from .bounds import bounds_report, product_bound_check
 from .constructions import (
@@ -50,7 +51,7 @@ def _read_graphs(args, expected: int) -> list[Graph]:
         raise ValueError(f"this command needs exactly {expected} --in graph(s)")
     graphs = []
     for p in paths:
-        text = sys.stdin.read() if p == "-" else open(p, encoding="utf-8").read()
+        text = sys.stdin.read() if p == "-" else Path(p).read_text(encoding="utf-8")
         graphs.append(parse_edge_list(text, strict=args.strict))
     return graphs
 

@@ -23,7 +23,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .graph import Graph
-from .solver import Certificate, gamma_k_exact
+from .solver import Certificate, _check_k, gamma_k_exact
 
 # -- generators -------------------------------------------------------------
 
@@ -250,8 +250,7 @@ def cycle_outsider_witness(
     With ``adjacent=True`` the pair is refined to two neighboring cycle
     vertices; that variant requires v to k-dominate the whole cycle.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_k(k)
     g._check_vertex(v)
     cyc = list(cycle_vertices)
     _check_is_cycle(g, cyc)

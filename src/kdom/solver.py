@@ -4,18 +4,19 @@ The distance-k domination number of a graph is the size of a smallest vertex
 set S such that every vertex lies within hop distance k of S. Computing it is
 NP-hard, so exactness here means exhaustive search: a brute-force enumerator
 (`gamma_k_oracle`) for ground truth on tiny graphs, and a branch-and-bound
-over the equivalent set-cover formulation (`gamma_k_exact`) for everything at
-desk scale. Both return a :class:`Certificate` whose set can be re-verified
+over the equivalent set-cover formulation (`gamma_k_exact`: dominated
+candidates dropped, fewest-candidates branching, a disjoint-candidate packing
+bound at every node, an explicit stack and no distance matrix) for everything
+at desk scale. Both return a :class:`Certificate` whose set can be re-verified
 independently with :func:`is_k_dominating`.
 
-All search is single-threaded and fully deterministic: branch vertices are
-the lowest-index uncovered vertices, candidate dominators are ordered by
-descending fresh coverage with index tie-breaks, and incumbents are replaced
-only on strict improvement.
+All search is single-threaded and fully deterministic: every tie is broken by
+a fixed vertex order, and incumbents are replaced only on strict improvement.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -149,23 +150,23 @@ def gamma_k_oracle(g: Graph, k: int, max_n: int = ORACLE_MAX_N) -> Certificate:
     raise AssertionError("V(G) itself must dominate")  # pragma: no cover
 
 
-def _greedy_cover(universe: int, balls: list[int], order: Iterable[int]) -> int:
-    """Greedy set-cover over the given candidate order; returns the chosen mask."""
-    order = list(order)
+def _greedy_cover(universe: int, balls: list[int], vertices: Iterable[int]) -> int:
+    """Greedy set-cover over ``vertices``: take the largest fresh coverage,
+    ties to the lowest index, until ``universe`` is covered; returns the
+    chosen mask. Coverage only shrinks, so stale heap entries are upper
+    bounds (lazy greedy)."""
+    heap = [(-balls[v].bit_count(), v) for v in vertices]
+    heapq.heapify(heap)
     covered = 0
     chosen = 0
     while covered != universe:
-        best_v = -1
-        best_gain = 0
-        for v in order:
-            gain = (balls[v] & ~covered).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_v = v
-        if best_v < 0:  # cannot happen: every vertex covers itself
-            raise AssertionError("greedy cover stalled")
-        covered |= balls[best_v]
-        chosen |= 1 << best_v
+        stored, v = heapq.heappop(heap)
+        gain = (balls[v] & ~covered).bit_count()
+        if gain == -stored:
+            covered |= balls[v]
+            chosen |= 1 << v
+        elif gain:
+            heapq.heappush(heap, (-gain, v))
     return chosen
 
 
@@ -192,14 +193,10 @@ def packing_lower(g: Graph, k: int) -> int:
     met = g.metrics()
     if not met.connected:
         raise DisconnectedInput("packing bound requires a connected graph")
-    return _greedy_packing(met.dist, range(g.n), k)
-
-
-def _greedy_packing(dist, vertices: Iterable[int], k: int) -> int:
     gap = 2 * k + 1
     chosen: list[int] = []
-    for v in vertices:
-        if all(dist[v][u] >= gap for u in chosen):
+    for v in range(g.n):
+        if all(met.dist[v][u] >= gap for u in chosen):
             chosen.append(v)
     return len(chosen)
 
@@ -249,44 +246,40 @@ def gamma_k_exact(
 ) -> Certificate:
     """Branch-and-bound domination number over the k-ball set cover.
 
-    Branches on the lowest-index uncovered vertex; its candidate dominators
-    are exactly the members of its own k-ball. Pruned with the dynamic bound
-    ceil(uncovered / best-possible-fresh-coverage) plus a root bound combining
-    the packing and diameter lower bounds. Disconnected inputs are solved per
-    component and summed (a dominator never helps another component), with the
+    A candidate whose k-ball lies inside another's is dropped (of equal balls
+    the lowest index stays). The search branches on the uncovered vertex with
+    the fewest candidates left, which by symmetry are the kept members of its
+    own k-ball; they are tried by descending fresh coverage, and each later
+    sibling excludes the earlier ones. A candidate that is the last one left
+    for some vertex is forced, and all forced ones are taken in one step.
+    Each node is bounded by a greedy packing of uncovered vertices with
+    pairwise disjoint candidate sets, each needing its own dominator; the one
+    scan that computes it also picks the branch vertex, and stops once the
+    node is cut. No distance matrix is built (``g.metrics()`` is not called).
+    Disconnected inputs are solved per component and summed, with the
     component count recorded in the certificate.
 
-    Returns status "Exact" when the search completed within budget, otherwise
-    "UpperBoundOnly" with the best incumbent found.
+    ``lower_bound_used`` sums the root packing bound of each component, whose
+    scan stops at the greedy value. ``nodes_explored`` counts the nodes below
+    the root, each charged to ``budget_nodes``. Status is "Exact" when the
+    search completed within budget, otherwise "UpperBoundOnly" with the best
+    incumbent found.
     """
     _check_k(k)
     if g.n == 0:
         return Certificate(k, 0, 0, "Exact", 0, 0, "BranchAndBound", components=0)
     balls = _ball_masks(g, k)
-    dist = g.metrics().dist
     budget = _Budget(budget_nodes, budget_seconds)
 
-    total_mask = 0
-    total_value = 0
-    total_lb = 0
-    total_nodes = 0
-    all_exact = True
     comps = _components(g)
-    for comp in comps:
-        value, mask, exact, nodes, root_lb = _solve_component(g, k, comp, balls, dist, budget)
-        total_mask |= mask
-        total_value += value
-        total_lb += root_lb
-        total_nodes += nodes
-        all_exact = all_exact and exact
-    status = "Exact" if all_exact else "UpperBoundOnly"
+    values, masks, exact, nodes, lbs = zip(*(_solve_component(c, balls, budget) for c in comps))
     return Certificate(
         k,
-        total_mask,
-        total_value,
-        status,
-        total_lb,
-        total_nodes,
+        sum(masks),  # the components are disjoint, so the sum is the union
+        sum(values),
+        "Exact" if all(exact) else "UpperBoundOnly",
+        sum(lbs),
+        sum(nodes),
         "BranchAndBound",
         components=len(comps),
     )
@@ -313,81 +306,86 @@ def _components(g: Graph) -> list[int]:
     return comps
 
 
-def _solve_component(g, k, comp_mask, balls, dist, budget):
-    vertices = list(iter_bits(comp_mask))
-    if len(vertices) == 1:
-        return 1, comp_mask, True, 0, 1
-
-    # Root lower bound: packing within the component, and the diameter bound
-    # ceil((d+1)/(2k+1)) evaluated on the component's own diameter.
-    comp_diam = max(dist[u][v] for u in vertices for v in vertices)
-    lb_diam = -(-(comp_diam + 1) // (2 * k + 1))
-    lb_pack = _greedy_packing(dist, vertices, k)
-    root_lb = max(1, lb_diam, lb_pack)
-
-    incumbent_mask = _greedy_cover(comp_mask, balls, vertices)
-    incumbent = incumbent_mask.bit_count()
-    if incumbent == root_lb:
-        return incumbent, incumbent_mask, True, 0, root_lb
-
-    state = _SearchState(comp_mask, balls, vertices, incumbent, incumbent_mask, root_lb, budget)
-    state.run()
-    return state.best_size, state.best_mask, state.completed, state.nodes, root_lb
+def _undominated(vertices: list[int], balls: list[int]) -> int:
+    """Mask of the vertices whose k-ball no other contains (of equal balls the
+    lowest index stays); a ball containing ``balls[v]`` is centred in it."""
+    keep = 0
+    for v in vertices:
+        bv = balls[v]
+        for u in iter_bits(bv):
+            if bv & balls[u] == bv and u != v and (balls[u] != bv or u < v):
+                break
+        else:
+            keep |= 1 << v
+    return keep
 
 
-class _SearchState:
-    def __init__(self, universe, balls, vertices, incumbent, incumbent_mask, root_lb, budget):
-        self.universe = universe
-        self.balls = balls
-        self.vertices = vertices
-        self.best_size = incumbent
-        self.best_mask = incumbent_mask
-        self.root_lb = root_lb
-        self.budget = budget
-        self.nodes = 0
-        self.completed = False
+def _solve_component(universe, balls, budget):
+    """Search one component; returns (value, mask, exact, nodes, root bound).
 
-    def run(self) -> None:
-        try:
-            self._dfs(0, 0, [])
-            self.completed = not self.budget.exhausted
-        except _OutOfBudget:
-            self.completed = False
+    Vertices are relabelled 0..m-1 by ascending candidate count, so walking
+    the bits of the uncovered mask visits them in the packing order."""
+    vertices = list(iter_bits(universe))
+    cands = _undominated(vertices, balls)
+    order = sorted(vertices, key=lambda w: ((balls[w] & cands).bit_count(), w))
+    pos = {v: p for p, v in enumerate(order)}
 
-    def _dfs(self, covered: int, size: int, chosen: list[int]) -> None:
-        self.nodes += 1
-        if not self.budget.tick():
-            raise _OutOfBudget
-        if covered == self.universe:
-            if size < self.best_size:
-                self.best_size = size
-                mask = 0
-                for v in chosen:
-                    mask |= 1 << v
-                self.best_mask = mask
-            return
-        if self.best_size == self.root_lb:
-            return  # incumbent already meets a proven global lower bound
-        if size + 1 >= self.best_size:
-            return
-        uncovered = self.universe & ~covered
-        max_gain = 0
-        for v in self.vertices:
-            gain = (self.balls[v] & uncovered).bit_count()
-            if gain > max_gain:
-                max_gain = gain
-        if size + -(-uncovered.bit_count() // max_gain) >= self.best_size:
-            return
-        branch = (uncovered & -uncovered).bit_length() - 1
-        cands = sorted(
-            iter_bits(self.balls[branch]),
-            key=lambda v: (-(self.balls[v] & uncovered).bit_count(), v),
-        )
-        for v in cands:
-            chosen.append(v)
-            self._dfs(covered | self.balls[v], size + 1, chosen)
-            chosen.pop()
+    def local(mask: int) -> int:
+        return sum(1 << pos[v] for v in iter_bits(mask))
 
-
-class _OutOfBudget(Exception):
-    pass
+    ball = [local(balls[v]) for v in order]
+    start = local(cands)
+    reach = [b & start for b in ball]  # the candidates within distance k
+    full = (1 << len(order)) - 1
+    best_set = local(_greedy_cover(universe, balls, vertices))
+    best = best_set.bit_count()
+    root_lb = 1
+    nodes = 0
+    stack = [(0, start, 0, 0)]  # (covered, allowed candidates, size, chosen)
+    while stack:
+        covered, allowed, size, chosen = stack.pop()
+        if size:
+            if not budget.tick():
+                break
+            nodes += 1
+        if covered == full:
+            if size < best:
+                best, best_set = size, chosen
+            continue
+        room = best - size
+        if room <= 1:
+            continue
+        count = packed = branch = forced = 0
+        fewest = len(order) + 1
+        uncovered = rest = full & ~covered
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            a = reach[low.bit_length() - 1] & allowed
+            if not a:
+                break  # no allowed candidate reaches this vertex
+            if not a & packed:
+                packed |= a
+                count += 1
+                if count >= room:
+                    break
+            c = a.bit_count()
+            if c == 1:
+                forced |= a
+            elif c < fewest:
+                fewest, branch = c, a
+        else:
+            if forced:
+                for p in iter_bits(forced):
+                    covered |= ball[p]
+                stack.append((covered, allowed, size + forced.bit_count(), chosen | forced))
+            else:
+                kids = []
+                for p in sorted(iter_bits(branch), key=lambda p: (-(ball[p] & uncovered).bit_count(), order[p])):
+                    kids.append((covered | ball[p], allowed, size + 1, chosen | 1 << p))
+                    allowed ^= 1 << p
+                stack.extend(reversed(kids))
+        if not size:
+            root_lb = count
+    mask = sum(1 << order[p] for p in iter_bits(best_set))
+    return best, mask, not budget.exhausted, nodes, root_lb

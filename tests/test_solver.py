@@ -2,14 +2,16 @@ import random
 
 import pytest
 
-from conftest import complete, petersen, random_connected, star
+from conftest import complete, petersen, random_connected, random_tree, star
 from kdom import (
     DisconnectedInput,
     Graph,
     IndexOutOfRange,
     InvalidOrder,
     TooLarge,
+    clique_expanded_path,
     cycle,
+    direct_product,
     from_edge_list,
     gamma_k_exact,
     gamma_k_oracle,
@@ -234,3 +236,84 @@ class TestGammaKExact:
             for e in sorted(g.edges):
                 sub = Graph(g.n, g.edges - {e})
                 assert gamma_k_oracle(sub, k).value >= base
+
+    def test_large_tree_never_raises(self):
+        # gamma_1 is about 1100 here: a search as deep as that must still end
+        # in a certificate, never an exception
+        g = random_tree(random.Random(3), 3000)
+        cert = gamma_k_exact(g, 1, budget_nodes=20_000)
+        assert cert.status in ("Exact", "UpperBoundOnly")
+        assert is_k_dominating(g, cert.vertices, 1)
+        assert cert.lower_bound_used <= cert.value <= greedy_upper(g, 1).value
+        if cert.status == "Exact":
+            assert cert.value == 1121  # agrees with the HiGHS optimum
+
+
+def _highs_gamma(g: Graph, k: int) -> int:
+    """Optimum of the k-ball covering integer program, solved by HiGHS."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_matrix
+
+    rows, cols = [], []
+    for w in range(g.n):
+        near = [v for v, d in enumerate(g.bfs_distances(w)) if d <= k]
+        rows.extend([w] * len(near))
+        cols.extend(near)
+    cover = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(g.n, g.n))
+    res = milp(
+        c=np.ones(g.n),
+        constraints=LinearConstraint(cover, lb=1, ub=np.inf),
+        integrality=np.ones(g.n),
+        bounds=Bounds(0, 1),
+    )
+    assert res.status == 0, res.message
+    return round(res.fun)
+
+
+class TestAgainstHighs:
+    """Independent exact route beyond the n <= 16 oracle: an integer program."""
+
+    def test_sparse_random_graphs(self):
+        pytest.importorskip("scipy")
+        rng = random.Random(20)
+        for n in (20, 60, 100, 150):
+            for k in (1, 2, 3):
+                g = random_connected(rng, n, 2.5 / n)
+                cert = gamma_k_exact(g, k, budget_nodes=20_000)
+                optimum = _highs_gamma(g, k)
+                assert is_k_dominating(g, cert.vertices, k)
+                if cert.status == "Exact":
+                    assert cert.value == optimum, (n, k)
+                else:
+                    assert cert.value >= optimum, (n, k)
+
+
+def _sparse(seed: int, n: int) -> Graph:
+    return random_connected(random.Random(seed), n, 2.5 / n)
+
+
+# (id, graph, k, gamma_k, committed ceiling on nodes_explored). The counts are
+# deterministic, so the test cannot flake; raising a ceiling needs a stated
+# reason in CHANGES.md.
+NODE_RATCHET = [
+    ("sparse-1-60", lambda: _sparse(1, 60), 1, 14, 785),
+    ("sparse-2-90", lambda: _sparse(2, 90), 2, 6, 7316),
+    ("sparse-3-120", lambda: _sparse(3, 120), 3, 3, 282),
+    ("sparse-5-60", lambda: _sparse(5, 60), 1, 14, 2552),
+    ("sparse-8-90", lambda: _sparse(8, 90), 2, 6, 3492),
+    ("sparse-11-120", lambda: _sparse(11, 120), 3, 4, 2304),
+    ("petersen", petersen, 1, 3, 11),
+    ("cycle-25", lambda: cycle(25), 1, 9, 3),
+    ("clique-expanded-40-3", lambda: clique_expanded_path(40, 3), 2, 8, 31),
+    ("product-c5-p6", lambda: direct_product(cycle(5), path(6)), 1, 8, 87),
+]
+
+
+@pytest.mark.parametrize(
+    "build, k, gamma, ceiling", [r[1:] for r in NODE_RATCHET], ids=[r[0] for r in NODE_RATCHET]
+)
+def test_node_count_ratchet(build, k, gamma, ceiling):
+    cert = gamma_k_exact(build(), k)
+    assert cert.status == "Exact" and cert.value == gamma
+    assert cert.nodes_explored <= ceiling
