@@ -33,7 +33,8 @@ for k in (1, 2):
     t_gamma = gamma_k_oracle(res.tree, k).value
     print(f"  tree m={res.tree.m} (dropped {g.m - res.tree.m} edges), "
           f"gamma_{k}: graph={res.certificate.value} tree={t_gamma}")
-    dist_g, dist_t = g.metrics().dist, res.tree.metrics().dist
+    dist_g = [g.bfs_distances(v) for v in range(n)]
+    dist_t = [res.tree.bfs_distances(v) for v in range(n)]
     preserved = all(
         dist_t[v][res.dominating_set[res.partition[v]]]
         == dist_g[v][res.dominating_set[res.partition[v]]]

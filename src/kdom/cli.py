@@ -6,7 +6,8 @@ can feed straight back into the other commands. Wall-clock time lives under
 the "timing" key only, keeping the rest of the document byte-reproducible.
 
 Exit codes: 0 success; 1 fuzz found an invariant violation; 2 malformed
-input; 3 a search budget ran out where exactness was required.
+input; 3 a search budget ran out where exactness was required; 4 an
+internal error.
 """
 
 from __future__ import annotations
@@ -192,6 +193,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    if args.family != "product" and args.n is None:
+        raise ValueError(f"--family {args.family} needs --n")
     if args.family == "path":
         g = path(args.n)
     elif args.family == "cycle":
@@ -247,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_gamma)
 
-    p = sub.add_parser("metrics", help="distances, diameter, radius, girth")
+    p = sub.add_parser("metrics", help="eccentricities, diameter, radius, girth")
     common(p)
     p.set_defaults(func=_cmd_metrics)
 
@@ -301,6 +304,9 @@ def main(argv: list[str] | None = None) -> int:
     except (KdomError, ValueError, OSError) as exc:
         print(f"kdom: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, never to be read as exit 1 (fuzz violation)
+        print(f"kdom: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -153,8 +153,7 @@ def preserving_spanning_tree(g: Graph, k: int, **budget) -> SpanningTreeResult:
     edges that connect the partition. Dropping edges can only push the
     domination number up, and S still dominates T, so equality holds.
     """
-    met = g.metrics()
-    if not met.connected:
+    if not g.metrics().connected:
         raise DisconnectedInput("spanning tree requires a connected graph")
     cert = gamma_k_exact(g, k, **budget)
     if cert.status != "Exact":
@@ -162,9 +161,8 @@ def preserving_spanning_tree(g: Graph, k: int, **budget) -> SpanningTreeResult:
     dominators = cert.vertices
     cell_of = {v: i for i, v in enumerate(dominators)}
     n = g.n
-    dist = met.dist
 
-    dist_to_s = [min(dist[v][s] for s in dominators) for v in range(n)]
+    dist_to_s = g.bfs_distances(*dominators)
     label = [-1] * n
     parent = [-1] * n
     for v, s in cell_of.items():

@@ -11,9 +11,10 @@ spanning-tree fallback) and, for every k in the configured set, checks:
   minimum k-dominating set of the direct product dominate the factors, and —
   when the product is connected — the additive product lower bound.
 
-Trial randomness derives from (seed, trial index) only, and the report is
-assembled in trial order, so the output is byte-for-byte reproducible no
-matter how trials are scheduled. The generator is Python's ``random.Random``
+Trial randomness derives from (seed, trial index) only, and trials run one
+after another in index order, so the output is byte-for-byte reproducible.
+Trials are pure Python and bound by the interpreter lock, so they run on the
+calling thread. The generator is Python's ``random.Random``
 (Mersenne Twister), whose sequences for a fixed integer seed are stable
 across platforms and versions. Embedded exact solves are bounded by a node
 budget alone: a wall-clock budget would make skip counts depend on machine
@@ -23,9 +24,7 @@ load, breaking reproducibility.
 from __future__ import annotations
 
 import json
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .bounds import lb_diameter, lb_girth, lb_radius
@@ -124,7 +123,6 @@ def fuzz(
     p_range: tuple[float, float] = (0.2, 0.6),
     k_set: tuple[int, ...] = (1, 2),
     budget_nodes: int = DEFAULT_BUDGET_NODES,
-    workers: int | None = None,
 ) -> FuzzReport:
     """Run the whole invariant suite over ``trials`` seeded random graphs."""
     if n_range[0] < 1 or n_range[0] > n_range[1]:
@@ -147,18 +145,8 @@ def fuzz(
         "no_deletable_edge": 0,
     }
 
-    def run(index: int):
-        return _run_trial(seed, index, n_range, p_range, k_set, budget)
-
-    if workers is None:
-        workers = int(os.environ.get("THREADS", "0")) or (os.cpu_count() or 1)
-    if workers > 1 and trials > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, range(trials)))
-    else:
-        outcomes = [run(i) for i in range(trials)]
-
-    for dispositions, failures, skips in outcomes:  # trial-index order
+    for index in range(trials):
+        dispositions, failures, skips = _run_trial(seed, index, n_range, p_range, k_set, budget)
         for check, disp in dispositions:
             report.checks_run[check][disp] += 1
         report.failures.extend(failures)
@@ -179,6 +167,8 @@ def _run_trial(seed, index, n_range, p_range, k_set, budget):
     p = rng.uniform(p_range[0], p_range[1])
     g = random_connected_graph(rng, n, p)
     met = g.metrics()
+    # draws nothing from rng, so computing it up front keeps the draw order
+    deletable = [e for e in sorted(g.edges) if _is_connected(Graph(g.n, g.edges - {e}))]
 
     dispositions: list[tuple[str, str]] = []
     failures: list[dict] = []
@@ -209,14 +199,13 @@ def _run_trial(seed, index, n_range, p_range, k_set, budget):
             ok = (
                 _spanning_tree_valid(g, res.tree)
                 and all(
-                    res.tree.metrics().dist[v][res.dominating_set[res.partition[v]]] <= k
-                    for v in range(g.n)
+                    res.tree.closed_k_neighborhood(res.dominating_set[c], k) >> v & 1
+                    for v, c in enumerate(res.partition)
                 )
                 and gamma_k_oracle(res.tree, k).value == gamma
             )
             judge("spanning_tree_preserves_gamma", k, ok, gamma=gamma)
 
-        deletable = [e for e in sorted(g.edges) if _is_connected(Graph(g.n, g.edges - {e}))]
         if not deletable:
             dispositions.append(("edge_deletion_monotonic", "skip"))
             skips.append("no_deletable_edge")

@@ -3,7 +3,7 @@
 Vertices are the integers 0..n-1. Every graph keeps two synchronized views of
 the adjacency relation: sorted neighbor tuples for BFS traversal and one int
 bitset per vertex for word-parallel cover operations in the solver. Distances
-are plain hop counts; inside the distance matrix "unreachable" is encoded as
+are plain hop counts; inside a BFS distance row "unreachable" is encoded as
 the sentinel value n (strictly larger than any realizable distance), while
 reporting-level quantities (diameter, radius, girth, eccentricity) use
 ``math.inf`` so disconnected and acyclic cases read naturally.
@@ -33,7 +33,7 @@ def iter_bits(mask: int) -> Iterator[int]:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "adj_bits", "edges", "_metrics")
+    __slots__ = ("n", "adj", "adj_bits", "edges", "_metrics", "_balls")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         """Build a graph from already-clean edges (no loops, no duplicates).
@@ -54,6 +54,7 @@ class Graph:
         self.adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
         self.adj_bits = tuple(bits)
         self._metrics: Metrics | None = None
+        self._balls: dict[int, tuple[int, ...]] = {}
 
     @property
     def m(self) -> int:
@@ -95,12 +96,14 @@ class Graph:
 
     # -- metric operations -------------------------------------------------
 
-    def bfs_distances(self, v: int) -> list[int]:
-        """Hop distances from ``v``; unreachable vertices get the sentinel n."""
-        self._check_vertex(v)
+    def bfs_distances(self, *sources: int) -> list[int]:
+        """Hop distances to the nearest of ``sources``; unreachable vertices
+        get the sentinel n."""
         dist = [self.n] * self.n
-        dist[v] = 0
-        queue = deque([v])
+        for v in sources:
+            self._check_vertex(v)
+            dist[v] = 0
+        queue = deque(sources)
         while queue:
             u = queue.popleft()
             du = dist[u] + 1
@@ -130,8 +133,17 @@ class Graph:
             frontier = nxt
         return seen
 
+    def balls(self, k: int) -> tuple[int, ...]:
+        """The closed k-neighborhood bitset of every vertex, computed once per
+        k and cached; the same tuple is returned on every call."""
+        table = self._balls.get(k)
+        if table is None:
+            table = tuple(self.closed_k_neighborhood(v, k) for v in range(self.n))
+            self._balls[k] = table
+        return table
+
     def metrics(self) -> Metrics:
-        """All-pairs distances plus derived invariants, computed once and cached."""
+        """Eccentricities, diameter, radius and girth, computed once and cached."""
         if self._metrics is None:
             self._metrics = _compute_metrics(self)
         return self._metrics
@@ -163,12 +175,11 @@ class Graph:
 class Metrics:
     """Cached metric bundle for one graph.
 
-    ``dist[u][v]`` is the hop distance with sentinel n for unreachable pairs;
     ``ecc``, ``diameter`` and ``radius`` are ``math.inf`` when the graph is
     disconnected, and ``girth`` is ``math.inf`` when the graph is acyclic.
+    Distances themselves are not kept; :meth:`Graph.bfs_distances` gives them.
     """
 
-    dist: tuple[tuple[int, ...], ...]
     ecc: tuple[float, ...]
     diameter: float
     radius: float
@@ -214,25 +225,17 @@ def from_edge_list(n: int, pairs: Iterable[tuple[int, int]], strict: bool = Fals
 def _compute_metrics(g: Graph) -> Metrics:
     n = g.n
     if n == 0:
-        return Metrics(dist=(), ecc=(), diameter=0, radius=0, girth=INF, connected=True)
-    rows = []
+        return Metrics(ecc=(), diameter=0, radius=0, girth=INF, connected=True)
     ecc: list[float] = []
-    connected = True
     for v in range(n):
-        row = g.bfs_distances(v)
-        rows.append(tuple(row))
-        far = max(row)
-        if far >= n:  # sentinel present: v cannot reach everything
-            connected = False
-            ecc.append(INF)
-        else:
-            ecc.append(far)
+        far = max(g.bfs_distances(v))
+        ecc.append(INF if far >= n else far)  # sentinel: v cannot reach everything
+    connected = INF not in ecc
     diameter = max(ecc) if connected else INF
     radius = min(ecc) if connected else INF
     found = _scan_shortest_cycle(g)
     girth: float = INF if found is None else found[0]
     return Metrics(
-        dist=tuple(rows),
         ecc=tuple(ecc),
         diameter=diameter,
         radius=radius,

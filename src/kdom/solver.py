@@ -109,10 +109,6 @@ def is_k_dominating(g: Graph, candidate: Iterable[int], k: int) -> bool:
     return reached == g.n
 
 
-def _ball_masks(g: Graph, k: int) -> list[int]:
-    return [g.closed_k_neighborhood(v, k) for v in range(g.n)]
-
-
 def gamma_k_oracle(g: Graph, k: int, max_n: int = ORACLE_MAX_N) -> Certificate:
     """Ground-truth domination number by enumerating sets of growing size.
 
@@ -150,7 +146,7 @@ def gamma_k_oracle(g: Graph, k: int, max_n: int = ORACLE_MAX_N) -> Certificate:
     raise AssertionError("V(G) itself must dominate")  # pragma: no cover
 
 
-def _greedy_cover(universe: int, balls: list[int], vertices: Iterable[int]) -> int:
+def _greedy_cover(universe: int, balls: tuple[int, ...], vertices: Iterable[int]) -> int:
     """Greedy set-cover over ``vertices``: take the largest fresh coverage,
     ties to the lowest index, until ``universe`` is covered; returns the
     chosen mask. Coverage only shrinks, so stale heap entries are upper
@@ -175,8 +171,7 @@ def greedy_upper(g: Graph, k: int) -> Certificate:
     _check_k(k)
     if g.n == 0:
         return Certificate(k, 0, 0, "Exact", 0, 0, "Greedy")
-    balls = _ball_masks(g, k)
-    mask = _greedy_cover(g.full_mask(), balls, range(g.n))
+    mask = _greedy_cover(g.full_mask(), g.balls(k), range(g.n))
     value = mask.bit_count()
     # The only bound available for free is the trivial gamma_k >= 1.
     status = "Exact" if value == 1 else "UpperBoundOnly"
@@ -187,18 +182,18 @@ def packing_lower(g: Graph, k: int) -> int:
     """Size of a greedy set of vertices pairwise at distance >= 2k+1.
 
     No vertex can k-dominate two members of such a packing, so the size is a
-    valid lower bound on the domination number. Connected input required.
+    valid lower bound on the domination number. Two vertices are that far
+    apart exactly when their k-balls are disjoint. Connected input required.
     """
     _check_k(k)
-    met = g.metrics()
-    if not met.connected:
+    if not g.metrics().connected:
         raise DisconnectedInput("packing bound requires a connected graph")
-    gap = 2 * k + 1
-    chosen: list[int] = []
-    for v in range(g.n):
-        if all(met.dist[v][u] >= gap for u in chosen):
-            chosen.append(v)
-    return len(chosen)
+    taken = count = 0
+    for ball in g.balls(k):
+        if not ball & taken:
+            taken |= ball
+            count += 1
+    return count
 
 
 def gamma_path_cycle(n: int, k: int, shape: str) -> int:
@@ -255,7 +250,7 @@ def gamma_k_exact(
     Each node is bounded by a greedy packing of uncovered vertices with
     pairwise disjoint candidate sets, each needing its own dominator; the one
     scan that computes it also picks the branch vertex, and stops once the
-    node is cut. No distance matrix is built (``g.metrics()`` is not called).
+    node is cut. ``g.metrics()`` is not called.
     Disconnected inputs are solved per component and summed, with the
     component count recorded in the certificate.
 
@@ -268,7 +263,7 @@ def gamma_k_exact(
     _check_k(k)
     if g.n == 0:
         return Certificate(k, 0, 0, "Exact", 0, 0, "BranchAndBound", components=0)
-    balls = _ball_masks(g, k)
+    balls = g.balls(k)
     budget = _Budget(budget_nodes, budget_seconds)
 
     comps = _components(g)
@@ -306,7 +301,7 @@ def _components(g: Graph) -> list[int]:
     return comps
 
 
-def _undominated(vertices: list[int], balls: list[int]) -> int:
+def _undominated(vertices: list[int], balls: tuple[int, ...]) -> int:
     """Mask of the vertices whose k-ball no other contains (of equal balls the
     lowest index stays); a ball containing ``balls[v]`` is centred in it."""
     keep = 0

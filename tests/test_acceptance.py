@@ -146,7 +146,7 @@ def test_criterion_5_spanning_tree_preserves_gamma():
                 and tree.metrics().connected
                 and gamma_k_oracle(tree, k).value == gamma_k_oracle(g, k).value
                 and all(
-                    tree.metrics().dist[v][res.dominating_set[res.partition[v]]] <= k
+                    tree.bfs_distances(v)[res.dominating_set[res.partition[v]]] <= k
                     for v in range(g.n)
                 )
             )

@@ -150,6 +150,11 @@ class TestConstructCommand:
     def test_invalid_order_exit_2(self, capsys):
         assert main(["construct", "--family", "cycle", "--n", "2"]) == 2
 
+    @pytest.mark.parametrize("family", ["path", "cycle", "clique-expanded"])
+    def test_missing_n_exit_2(self, capsys, family):
+        assert main(["construct", "--family", family]) == 2
+        assert capsys.readouterr().err == f"kdom: --family {family} needs --n\n"
+
     def test_product_family(self, capsys, tmp_path):
         a = tmp_path / "k2.txt"
         a.write_text(serialize_edge_list(path(2)))
@@ -185,6 +190,17 @@ class TestFuzzCommand:
             del doc["timing"]
             outs.append(json.dumps(doc, sort_keys=True))
         assert outs[0] == outs[1] == outs[2]
+
+
+class TestInternalError:
+    def test_unexpected_exception_exit_4(self, capsys, monkeypatch, c10_file):
+        def broken(*args, **kwargs):
+            raise KeyError("boom")
+
+        monkeypatch.setattr("kdom.cli.gamma_k_exact", broken)
+        assert main(["gamma", "--in", c10_file]) == 4
+        err = capsys.readouterr().err
+        assert err == "kdom: internal error: KeyError: 'boom'\n"
 
 
 class TestProcessEntryPoint:

@@ -192,8 +192,8 @@ class TestPreservingSpanningTree:
             assert res.tree.edges <= g.edges
             assert res.tree.metrics().connected
             assert len(res.connectors) == len(res.dominating_set) - 1
-            g_dist = g.metrics().dist
-            t_dist = res.tree.metrics().dist
+            g_dist = [g.bfs_distances(v) for v in range(g.n)]
+            t_dist = [res.tree.bfs_distances(v) for v in range(g.n)]
             s = res.dominating_set
             for v in range(g.n):
                 root = s[res.partition[v]]

@@ -33,16 +33,6 @@ class TestFuzz:
         b = fuzz(seed=123, trials=8, n_range=(4, 9), k_set=(1,))
         assert a.to_json() == b.to_json()
 
-    def test_workers_do_not_change_output(self):
-        a = fuzz(seed=321, trials=6, n_range=(4, 9), k_set=(1, 2), workers=1)
-        b = fuzz(seed=321, trials=6, n_range=(4, 9), k_set=(1, 2), workers=4)
-        assert a.to_json() == b.to_json()
-
-    def test_threads_env_caps_workers(self, monkeypatch):
-        baseline = fuzz(seed=55, trials=5, n_range=(4, 8), k_set=(1,), workers=1)
-        monkeypatch.setenv("THREADS", "3")
-        assert fuzz(seed=55, trials=5, n_range=(4, 8), k_set=(1,)).to_json() == baseline.to_json()
-
     def test_seed_changes_output(self):
         a = fuzz(seed=1, trials=5, n_range=(4, 9), k_set=(1,))
         b = fuzz(seed=2, trials=5, n_range=(4, 9), k_set=(1,))

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -82,6 +83,14 @@ class TestBfsDistances:
                 for v in range(g.n):
                     assert rows[u][v] == rows[v][u]
 
+    def test_several_sources_give_nearest(self):
+        rng = random.Random(6)
+        for _ in range(15):
+            g = random_graph(rng, rng.randint(1, 11), rng.random())
+            sources = rng.sample(range(g.n), rng.randint(1, g.n))
+            rows = [g.bfs_distances(s) for s in sources]
+            assert g.bfs_distances(*sources) == [min(col) for col in zip(*rows)]
+
 
 class TestClosedKNeighborhood:
     def test_k0_is_self(self):
@@ -105,6 +114,9 @@ class TestClosedKNeighborhood:
                     # the sentinel n means unreachable, never "within k"
                     want = sum(1 << u for u in range(g.n) if row[u] <= min(k, g.n - 1))
                     assert g.closed_k_neighborhood(v, k) == want
+                    assert g.balls(k)[v] == want
+            for k in range(g.n + 1):
+                assert g.balls(k) is g.balls(k)
 
 
 class TestMetrics:
@@ -132,9 +144,9 @@ class TestMetrics:
         rng = random.Random(7)
         for _ in range(20):
             g = random_graph(rng, rng.randint(1, 11), rng.random())
-            m = g.metrics()
-            has_sentinel = any(d >= g.n for row in m.dist for d in row)
-            assert m.connected == (not has_sentinel)
+            rows = [g.bfs_distances(v) for v in range(g.n)]
+            has_sentinel = any(d >= g.n for row in rows for d in row)
+            assert g.metrics().connected == (not has_sentinel)
 
     def test_radius_diameter_sandwich(self):
         rng = random.Random(9)
@@ -147,12 +159,23 @@ class TestMetrics:
         rng = random.Random(31)
         for _ in range(8):
             g = random_connected(rng, rng.randint(2, 9), rng.random())
-            d = g.metrics().dist
+            d = [g.bfs_distances(v) for v in range(g.n)]
             for a in range(g.n):
                 assert d[a][a] == 0
                 for b in range(g.n):
                     for c in range(g.n):
                         assert d[a][c] <= d[a][b] + d[b][c]
+
+    def test_memory_linear_in_n(self):
+        # no n x n distance matrix is stored: at n = 400 one would take ~2 MB
+        g = path(400)
+        tracemalloc.start()
+        try:
+            g.metrics()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 2**20
 
     def test_single_vertex_and_empty(self):
         m1 = Graph(1, []).metrics()
@@ -198,7 +221,7 @@ class TestShortestCycle:
             cyc = g.shortest_cycle()
             if cyc is None:
                 continue
-            dist = g.metrics().dist
+            dist = [g.bfs_distances(v) for v in range(g.n)]
             glen = len(cyc)
             for i in range(glen):
                 for j in range(glen):

@@ -128,6 +128,19 @@ class TestPackingLower:
         with pytest.raises(DisconnectedInput):
             packing_lower(from_edge_list(4, [(0, 1), (2, 3)]), 1)
 
+    def test_matches_distance_row_packing(self):
+        # reference: the pairwise-distance greedy, independent of k-balls
+        rng = random.Random(8)
+        for _ in range(30):
+            g = random_connected(rng, rng.randint(1, 25), rng.uniform(0.02, 0.4))
+            rows = [g.bfs_distances(v) for v in range(g.n)]
+            for k in (1, 2, 3):
+                chosen = []
+                for v in range(g.n):
+                    if all(rows[v][u] >= 2 * k + 1 for u in chosen):
+                        chosen.append(v)
+                assert packing_lower(g, k) == len(chosen)
+
     def test_sandwich(self):
         rng = random.Random(6)
         for _ in range(25):
