@@ -262,7 +262,7 @@ def product_bound_check(g: Graph, h: Graph, k: int, **budget) -> ProductBoundRep
     """Solve both factors and their direct product exactly and compare
     against the additive lower bound. Factors must be connected."""
     _check_k(k)
-    if not g.metrics().connected or not h.metrics().connected:
+    if not g.is_connected() or not h.is_connected():
         raise DisconnectedInput("product bound is stated for connected factors")
     prod = direct_product(g, h)
     certs = [gamma_k_exact(x, k, **budget) for x in (g, h, prod)]

@@ -153,7 +153,7 @@ def preserving_spanning_tree(g: Graph, k: int, **budget) -> SpanningTreeResult:
     edges that connect the partition. Dropping edges can only push the
     domination number up, and S still dominates T, so equality holds.
     """
-    if not g.metrics().connected:
+    if not g.is_connected():
         raise DisconnectedInput("spanning tree requires a connected graph")
     cert = gamma_k_exact(g, k, **budget)
     if cert.status != "Exact":

@@ -61,8 +61,41 @@ def _trial_seed(seed: int, index: int) -> int:
     return x ^ (x >> 31)
 
 
-def _is_connected(g: Graph) -> bool:
-    return g.n <= 1 or max(g.bfs_distances(0)) < g.n
+def _non_bridges(g: Graph) -> list[tuple[int, int]]:
+    """The edges that lie on a cycle, in ``sorted(g.edges)`` order.
+
+    Deleting one of them keeps every component connected, so on a connected
+    graph they are exactly the deletable edges. One iterative low-link DFS:
+    the tree edge (p, v) is a bridge when no other edge from v's subtree
+    reaches p or a vertex discovered before it.
+    """
+    order = [-1] * g.n  # discovery index
+    low = [0] * g.n
+    bridges = set()
+    count = 0
+    for start in range(g.n):
+        if order[start] >= 0:
+            continue
+        order[start] = low[start] = count
+        count += 1
+        stack = [(start, -1, iter(g.adj[start]))]
+        while stack:
+            v, p, nbrs = stack[-1]
+            for w in nbrs:
+                if order[w] < 0:
+                    order[w] = low[w] = count
+                    count += 1
+                    stack.append((w, v, iter(g.adj[w])))
+                    break
+                if w != p:
+                    low[v] = min(low[v], order[w])
+            else:
+                stack.pop()
+                if p >= 0:
+                    low[p] = min(low[p], low[v])
+                    if low[v] > order[p]:
+                        bridges.add((p, v) if p < v else (v, p))
+    return [e for e in sorted(g.edges) if e not in bridges]
 
 
 def random_connected_graph(rng: random.Random, n: int, p: float, max_attempts: int = 1000) -> Graph:
@@ -71,7 +104,7 @@ def random_connected_graph(rng: random.Random, n: int, p: float, max_attempts: i
     all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for _ in range(max_attempts):
         g = Graph(n, [e for e in all_pairs if rng.random() < p])
-        if _is_connected(g):
+        if g.is_connected():
             return g
     edges = {(rng.randrange(v), v) for v in range(1, n)}
     for e in all_pairs:
@@ -168,7 +201,7 @@ def _run_trial(seed, index, n_range, p_range, k_set, budget):
     g = random_connected_graph(rng, n, p)
     met = g.metrics()
     # draws nothing from rng, so computing it up front keeps the draw order
-    deletable = [e for e in sorted(g.edges) if _is_connected(Graph(g.n, g.edges - {e}))]
+    deletable = _non_bridges(g)
 
     dispositions: list[tuple[str, str]] = []
     failures: list[dict] = []
@@ -267,5 +300,5 @@ def _spanning_tree_valid(g: Graph, tree: Graph) -> bool:
         tree.n == g.n
         and tree.m == g.n - 1
         and tree.edges <= g.edges
-        and _is_connected(tree)
+        and tree.is_connected()
     )

@@ -7,6 +7,10 @@ are plain hop counts; inside a BFS distance row "unreachable" is encoded as
 the sentinel value n (strictly larger than any realizable distance), while
 reporting-level quantities (diameter, radius, girth, eccentricity) use
 ``math.inf`` so disconnected and acyclic cases read naturally.
+
+Eccentricities come from a few bounded BFS sweeps rather than one BFS per
+vertex, and the girth from a scan of the 2-core that deletes each root after
+its BFS; see :meth:`Graph.metrics`.
 """
 
 from __future__ import annotations
@@ -142,8 +146,20 @@ class Graph:
             self._balls[k] = table
         return table
 
+    def is_connected(self) -> bool:
+        """Whether every vertex reaches every other: one BFS from vertex 0."""
+        return self.n <= 1 or max(self.bfs_distances(0)) < self.n
+
     def metrics(self) -> Metrics:
-        """Eccentricities, diameter, radius and girth, computed once and cached."""
+        """Eccentricities, diameter, radius and girth, computed once and cached.
+
+        One BFS decides connectivity; a disconnected graph needs no more.
+        Eccentricities of a connected graph come from BFS sweeps whose bounds
+        settle many vertices at once (a handful of BFS on paths, grids and
+        clique-expanded paths, n on a cycle). The girth comes from BFS scans
+        of the 2-core cut at the best length found, each root deleted after
+        its scan. Memory is O(n).
+        """
         if self._metrics is None:
             self._metrics = _compute_metrics(self)
         return self._metrics
@@ -151,13 +167,32 @@ class Graph:
     def shortest_cycle(self) -> tuple[int, ...] | None:
         """One shortest cycle as an ordered vertex tuple, or None if acyclic.
 
-        Deterministic: the scan prefers lower BFS roots, then lexicographically
-        smaller closing edges, so repeated calls return the same cycle.
+        Deterministic: the cycle runs through the lowest vertex that lies on
+        any shortest cycle and is closed by the lexicographically smallest
+        non-tree edge (u, w) of a BFS from that vertex, so repeated calls
+        return the same cycle. Costs the girth scan plus one BFS.
         """
         found = _scan_shortest_cycle(self)
         if found is None:
             return None
-        _, root, u, w, dist, parent = found
+        length, root = found
+        n = self.n
+        dist = [n] * n
+        parent = [-1] * n
+        dist[root] = 0
+        queue = deque([root])
+        closing = (n, n)  # smallest (u, w) closing a cycle of the girth's length
+        while queue:
+            u = queue.popleft()
+            du = dist[u]
+            for w in self.adj[u]:
+                if dist[w] == n:
+                    dist[w] = du + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif w != parent[u] and du + dist[w] + 1 == length:
+                    closing = min(closing, (u, w))
+        u, w = closing
         chain_u = _chain_to_root(u, parent)
         chain_w = _chain_to_root(w, parent)
         on_u = set(chain_u)
@@ -226,62 +261,136 @@ def _compute_metrics(g: Graph) -> Metrics:
     n = g.n
     if n == 0:
         return Metrics(ecc=(), diameter=0, radius=0, girth=INF, connected=True)
-    ecc: list[float] = []
-    for v in range(n):
-        far = max(g.bfs_distances(v))
-        ecc.append(INF if far >= n else far)  # sentinel: v cannot reach everything
-    connected = INF not in ecc
-    diameter = max(ecc) if connected else INF
-    radius = min(ecc) if connected else INF
+    # the connectivity BFS from vertex 0 doubles as the first eccentricity sweep
+    first = g.bfs_distances(0)
+    connected = max(first) < n  # sentinel: vertex 0 cannot reach everything
+    if connected:
+        ecc: tuple[float, ...] = tuple(_eccentricities(g, first))
+        diameter, radius = max(ecc), min(ecc)
+    else:
+        ecc = (INF,) * n
+        diameter = radius = INF
     found = _scan_shortest_cycle(g)
-    girth: float = INF if found is None else found[0]
     return Metrics(
-        ecc=tuple(ecc),
+        ecc=ecc,
         diameter=diameter,
         radius=radius,
-        girth=girth,
+        girth=INF if found is None else found[0],
         connected=connected,
     )
 
 
-def _scan_shortest_cycle(g: Graph):
-    """Best (length, root, u, w, dist, parent) over per-root BFS scans, or None.
+def _eccentricities(g: Graph, dist: list[int]) -> list[int]:
+    """Exact eccentricities of a connected graph by bound propagation.
 
-    For each root, a BFS records every non-tree edge (u, w); the candidate
-    length dist[u] + dist[w] + 1 never undercuts the true girth, and for some
-    root it attains it, so the minimum over all roots is exact. The winning
-    root's BFS arrays are retained so the cycle can be reconstructed.
+    Takes and Kosters, "Computing the eccentricity distribution of large
+    graphs" (Algorithms, 2013). ``dist`` is the BFS row of vertex 0. After a
+    BFS from s with eccentricity e, every vertex v at distance d has
+    max(d, e - d) <= ecc(v) <= e + d; a vertex whose bounds meet is settled,
+    and s itself always is. The next source alternates between the unsettled
+    vertex with the smallest lower bound and the one with the largest upper
+    bound, ties to the lowest index. Paths and clique-expanded paths settle
+    after a handful of BFS; on a cycle each BFS settles only its source.
     """
     n = g.n
-    best = None  # (length, root, u, w)
-    best_arrays = None
+    ecc = [0] * n
+    lower = [0] * n
+    upper = [2 * n] * n
+    todo = list(range(n))  # unsettled vertices, ascending
+    pick_lower = True
+    while True:
+        e = max(dist)
+        kept = []
+        for v in todo:
+            d = dist[v]
+            lo = lower[v]
+            if d > lo:
+                lo = d
+            if e - d > lo:
+                lo = e - d
+            hi = upper[v]
+            if e + d < hi:
+                hi = e + d
+            if lo == hi:
+                ecc[v] = lo
+            else:
+                lower[v] = lo
+                upper[v] = hi
+                kept.append(v)
+        if not kept:
+            return ecc
+        todo = kept
+        # min and max return the first extreme element, the lowest index
+        if pick_lower:
+            source = min(todo, key=lower.__getitem__)
+        else:
+            source = max(todo, key=upper.__getitem__)
+        pick_lower = not pick_lower
+        dist = g.bfs_distances(source)
+
+
+def _scan_shortest_cycle(g: Graph) -> tuple[int, int] | None:
+    """(girth, r*) with r* the lowest vertex on any shortest cycle, or None.
+
+    Only the 2-core can hold a cycle, so vertices of degree <= 1 are peeled
+    off first. Roots are taken in index order, and each root is deleted (and
+    the core peeled again) once its BFS is done. A BFS records every non-tree
+    edge (u, w); the closed walk root..u, w..root holds a cycle, so the
+    candidate length dist[u] + dist[w] + 1 never undercuts the girth. It
+    stops once 2 * depth + 1 reaches the best length so far, because no
+    deeper edge can close a shorter cycle. When r*'s turn comes every
+    shortest cycle through r* is still intact, since all of its vertices are
+    >= r*, so its BFS finds the girth and no lower root did; a triangle ends
+    the scan.
+    """
+    n = g.n
+    adj = g.adj
+    alive = [True] * n
+    degree = [len(a) for a in adj]
+
+    def peel(stack: list[int]) -> None:
+        while stack:
+            v = stack.pop()
+            if not alive[v]:
+                continue
+            alive[v] = False
+            for w in adj[v]:
+                if alive[w]:
+                    degree[w] -= 1
+                    if degree[w] == 1:
+                        stack.append(w)
+
+    peel([v for v in range(n) if degree[v] <= 1])
+    best = INF
+    best_root = -1
     for root in range(n):
-        if best is not None and best[0] == 3:
-            break  # no cycle can beat a triangle; lower roots already scanned
-        dist = [n] * n
-        parent = [-1] * n
-        dist[root] = 0
+        if best == 3:
+            break  # no cycle can beat a triangle
+        if not alive[root]:
+            continue
+        dist = {root: 0}
+        parent = {root: -1}
         queue = deque([root])
         while queue:
             u = queue.popleft()
             du = dist[u]
-            for w in g.adj[u]:
-                if dist[w] == n:
+            if 2 * du + 1 >= best:
+                break
+            for w in adj[u]:
+                if not alive[w]:
+                    continue
+                dw = dist.get(w)
+                if dw is None:
                     dist[w] = du + 1
                     parent[w] = u
                     queue.append(w)
-                elif w != parent[u]:
-                    cand = (du + dist[w] + 1, root, u, w)
-                    if best is None or cand < best:
-                        best = cand
-                        # each root's arrays are fresh lists, so this
-                        # reference stays valid after the root's scan ends
-                        best_arrays = (dist, parent)
-    if best is None:
+                elif w != parent[u] and du + dw + 1 < best:
+                    best = du + dw + 1
+                    best_root = root
+        peel([root])  # delete root, then whatever it leaves at degree 1
+    if best_root < 0:
         return None
-    length, root, u, w = best
-    dist, parent = best_arrays
-    return length, root, u, w, dist, parent
+    return best, best_root
 
 
 def _chain_to_root(v: int, parent: list[int]) -> list[int]:

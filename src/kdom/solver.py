@@ -186,7 +186,7 @@ def packing_lower(g: Graph, k: int) -> int:
     apart exactly when their k-balls are disjoint. Connected input required.
     """
     _check_k(k)
-    if not g.metrics().connected:
+    if not g.is_connected():
         raise DisconnectedInput("packing bound requires a connected graph")
     taken = count = 0
     for ball in g.balls(k):

@@ -174,6 +174,11 @@ class TestProductBoundCheck:
         with pytest.raises(DisconnectedInput):
             product_bound_check(from_edge_list(4, [(0, 1), (2, 3)]), path(2), 1)
 
+    def test_connectivity_check_skips_metrics(self):
+        g, h = path(4), cycle(3)
+        product_bound_check(g, h, 1)
+        assert g._metrics is None and h._metrics is None
+
     def test_bound_holds_on_random_connected_products(self):
         rng = random.Random(39)
         found = 0

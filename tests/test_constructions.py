@@ -165,6 +165,11 @@ class TestProjection:
 
 
 class TestPreservingSpanningTree:
+    def test_connectivity_check_skips_metrics(self):
+        g = cycle(9)
+        preserving_spanning_tree(g, 1)
+        assert g._metrics is None
+
     def test_c6_becomes_path(self):
         res = preserving_spanning_tree(cycle(6), 1)
         degs = sorted(res.tree.degree(v) for v in range(6))

@@ -1,9 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
-from kdom import fuzz, random_connected_graph
-from kdom.fuzz import CHECKS
+from conftest import random_connected, random_tree
+from kdom import Graph, cycle, fuzz, random_connected_graph
+from kdom.fuzz import CHECKS, _non_bridges
 
 
 class TestRandomConnectedGraph:
@@ -20,6 +22,20 @@ class TestRandomConnectedGraph:
         assert g.m == 11  # spanning tree, no extras at p=0
 
 
+class TestNonBridges:
+    def test_matches_rebuild_per_edge(self):
+        # reference: an edge is deletable when the graph stays connected without it
+        rng = random.Random(21)
+        graphs = [random_tree(rng, rng.randint(1, 20)) for _ in range(40)]
+        graphs += [cycle(n) for n in range(3, 23)]
+        graphs += [random_connected(rng, rng.randint(2, 20), rng.uniform(0.0, 0.5)) for _ in range(200)]
+        for g in graphs:
+            deletable = [e for e in sorted(g.edges) if Graph(g.n, g.edges - {e}).is_connected()]
+            assert _non_bridges(g) == deletable
+        assert all(_non_bridges(g) == [] for g in graphs[:40])
+        assert all(_non_bridges(g) == sorted(g.edges) for g in graphs[40:60])
+
+
 class TestFuzz:
     def test_clean_and_accounted(self):
         report = fuzz(seed=5, trials=10, n_range=(4, 10), k_set=(1, 2))
@@ -32,6 +48,13 @@ class TestFuzz:
         a = fuzz(seed=123, trials=8, n_range=(4, 9), k_set=(1,))
         b = fuzz(seed=123, trials=8, n_range=(4, 9), k_set=(1,))
         assert a.to_json() == b.to_json()
+
+    def test_report_bytes_pinned(self):
+        # SHA-256 of the report as first produced; any change to the draw
+        # order, the checks or the metrics they read shows up here
+        report = fuzz(seed=123, trials=40, n_range=(4, 14), k_set=(1, 2))
+        digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+        assert digest == "a9b15b10890d23ccbcfcaf1f08b247aebe469d4a6277d19d343ce15575ba684b"
 
     def test_seed_changes_output(self):
         a = fuzz(seed=1, trials=5, n_range=(4, 9), k_set=(1,))

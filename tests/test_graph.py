@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from collections import deque
 
 import pytest
 
@@ -10,11 +11,58 @@ from kdom import (
     Graph,
     IndexOutOfRange,
     SimplenessViolation,
+    clique_expanded_path,
     cycle,
     from_edge_list,
     iter_bits,
     path,
 )
+
+
+def grid(rows: int, cols: int) -> Graph:
+    return Graph(
+        rows * cols,
+        [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+        + [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)],
+    )
+
+
+def all_roots_shortest_cycle(g: Graph):
+    """Reference: a full BFS from every root, keeping the smallest
+    (length, root, u, w) over all non-tree edges (u, w), stopping after the
+    root that finds a triangle; the cycle is read off that root's BFS tree."""
+    n = g.n
+    best = None
+    best_parent = None
+    for root in range(n):
+        if best is not None and best[0] == 3:
+            break
+        dist = [n] * n
+        parent = [-1] * n
+        dist[root] = 0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w in g.adj[u]:
+                if dist[w] == n:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif w != parent[u]:
+                    cand = (dist[u] + dist[w] + 1, root, u, w)
+                    if best is None or cand < best:
+                        best, best_parent = cand, parent
+    if best is None:
+        return None
+
+    def chain(v):
+        out = [v]
+        while best_parent[out[-1]] != -1:
+            out.append(best_parent[out[-1]])
+        return out
+
+    _, _, u, w = best
+    return tuple(list(reversed(chain(u))) + chain(w)[:-1])
 
 
 class TestFromEdgeList:
@@ -183,6 +231,68 @@ class TestMetrics:
         m0 = Graph(0, []).metrics()
         assert m0.connected and math.isinf(m0.girth)
 
+    @pytest.mark.parametrize("g", [path(1000), clique_expanded_path(300, 3)], ids=repr)
+    def test_few_bfs_on_path_like_graphs(self, g, monkeypatch):
+        # bound propagation settles these in a handful of sweeps, not n
+        calls = []
+        bfs = Graph.bfs_distances
+
+        def counted(self, *sources):
+            calls.append(sources)
+            return bfs(self, *sources)
+
+        monkeypatch.setattr(Graph, "bfs_distances", counted)
+        g.metrics()
+        assert len(calls) <= 12
+
+    def test_is_connected_matches_metrics(self):
+        rng = random.Random(13)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(0, 12), rng.random() * 0.5)
+            assert g.is_connected() == Graph(g.n, g.edges).metrics().connected
+
+
+class TestMetricsAgainstNetworkx:
+    """Eccentricities, diameter, radius and girth against networkx at n ~ 1000."""
+
+    @staticmethod
+    def to_networkx(nx, g: Graph):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        return h
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            random_connected(random.Random(5), 1000, 0.002),
+            grid(30, 30),
+            random_tree(random.Random(6), 1000),
+            cycle(999),
+            clique_expanded_path(300, 3),
+            petersen(),
+        ],
+        ids=["random-sparse-1000", "grid-30x30", "tree-1000", "cycle-999", "clique-path-300-3", "petersen"],
+    )
+    def test_connected(self, g):
+        nx = pytest.importorskip("networkx")
+        h = self.to_networkx(nx, g)
+        ecc = nx.eccentricity(h)
+        m = g.metrics()
+        assert m.connected
+        assert m.ecc == tuple(ecc[v] for v in range(g.n))
+        assert m.diameter == max(ecc.values())
+        assert m.radius == min(ecc.values())
+        assert m.girth == nx.girth(h)
+
+    def test_disconnected(self):
+        nx = pytest.importorskip("networkx")
+        g = Graph(1000, [e for e in random_connected(random.Random(8), 1000, 0.002).edges if 500 not in e])
+        h = self.to_networkx(nx, g)
+        m = g.metrics()
+        assert not nx.is_connected(h) and not m.connected
+        assert all(math.isinf(e) for e in m.ecc) and len(m.ecc) == g.n
+
 
 class TestShortestCycle:
     def test_tree_has_none(self):
@@ -227,6 +337,16 @@ class TestShortestCycle:
                 for j in range(glen):
                     on_cycle = min(abs(i - j), glen - abs(i - j))
                     assert dist[cyc[i]][cyc[j]] == on_cycle
+
+    def test_matches_all_roots_reference(self):
+        rng = random.Random(43)
+        for i in range(600):
+            n = rng.randint(1, 30)
+            p = (0.02, 0.06, 0.12, 0.25, 0.5, 0.9)[i % 6]
+            g = random_graph(rng, n, p)
+            ref = all_roots_shortest_cycle(g)
+            assert g.shortest_cycle() == ref
+            assert g.metrics().girth == (INF if ref is None else len(ref))
 
     def test_deterministic(self):
         rng = random.Random(41)

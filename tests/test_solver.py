@@ -128,6 +128,11 @@ class TestPackingLower:
         with pytest.raises(DisconnectedInput):
             packing_lower(from_edge_list(4, [(0, 1), (2, 3)]), 1)
 
+    def test_connectivity_check_skips_metrics(self):
+        g = random_connected(random.Random(4), 60, 0.05)
+        packing_lower(g, 2)
+        assert g._metrics is None
+
     def test_matches_distance_row_packing(self):
         # reference: the pairwise-distance greedy, independent of k-balls
         rng = random.Random(8)
