@@ -13,7 +13,7 @@ an error, so reports aggregate uniformly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .constructions import direct_product
 from .errors import BudgetExceeded, DisconnectedInput, InfiniteDiameter, InfiniteRadius
@@ -83,8 +83,10 @@ class BoundsReport:
 
     Lower-bound fields hold the effective values max(1, ceil(formula)) for
     non-empty graphs; ``raw_*`` keep the fractional formula values. A None
-    bound was inapplicable. ``verdict`` is "Consistent" when the sandwich
-    max(lbs) <= exact <= min(ubs) holds, "ExactUnavailable" when no exact
+    bound was inapplicable. ``best_lower`` is the largest lower bound (1, or
+    0 for the empty graph, when none applies) and ``best_upper`` the smallest
+    upper bound. ``verdict`` is "Consistent" when the sandwich
+    best_lower <= exact <= best_upper holds, "ExactUnavailable" when no exact
     value was established, and "ViolationDetected" otherwise — the bounds are
     proven inequalities, so a violation always means an implementation bug.
     """
@@ -109,20 +111,10 @@ class BoundsReport:
     ub_tian_xu: int | None
     ub_henning_lichiardopol: int | None
     ub_greedy: int
+    best_lower: int
+    best_upper: int
     exact: Certificate | None
     verdict: str
-
-    @property
-    def best_lower(self) -> int:
-        candidates = [self.lb_diameter, self.lb_radius, self.lb_girth, self.lb_packing]
-        present = [c for c in candidates if c is not None]
-        return max(present, default=1 if self.n else 0)
-
-    @property
-    def best_upper(self) -> int:
-        candidates = [self.ub_meir_moon, self.ub_tian_xu, self.ub_henning_lichiardopol]
-        present = [c for c in candidates if c is not None] + [self.ub_greedy]
-        return min(present)
 
     def to_dict(self) -> dict:
         def finite(x: float) -> float | None:
@@ -169,13 +161,12 @@ def bounds_report(g: Graph, k: int, compute_exact: bool = True, **budget) -> Bou
     met = g.metrics()
     n = g.n
     window = 2 * k + 1
-    effective = (lambda b: max(1, b)) if n else (lambda b: b)
 
     if met.connected and n:
-        lbd = effective(lb_diameter(met.diameter, k))
-        lbr = effective(lb_radius(met.radius, k))
-        lbg = effective(lb_girth(met.girth, k))
-        lbp = effective(packing_lower(g, k))
+        lbd = max(1, lb_diameter(met.diameter, k))
+        lbr = max(1, lb_radius(met.radius, k))
+        lbg = max(1, lb_girth(met.girth, k))
+        lbp = max(1, packing_lower(g, k))
         raw_d = (met.diameter + 1) / window
         raw_r = 2 * met.radius / window
         raw_g = met.girth / window if not math.isinf(met.girth) else None
@@ -190,14 +181,12 @@ def bounds_report(g: Graph, k: int, compute_exact: bool = True, **budget) -> Bou
     greedy = greedy_upper(g, k)
     exact = gamma_k_exact(g, k, **budget) if compute_exact else None
 
-    lbs = [b for b in (lbd, lbr, lbg, lbp) if b is not None] or ([1] if n else [0])
-    ubs = [b for b in (ubm, ubt, ubh) if b is not None] + [greedy.value]
-    violations = any(lo > hi for lo in lbs for hi in ubs)
+    best_lower = max((b for b in (lbd, lbr, lbg, lbp) if b is not None), default=1 if n else 0)
+    best_upper = min([b for b in (ubm, ubt, ubh) if b is not None] + [greedy.value])
     if exact is not None and exact.status == "Exact":
-        violations = violations or max(lbs) > exact.value or exact.value > min(ubs)
-        verdict = "ViolationDetected" if violations else "Consistent"
+        verdict = "Consistent" if best_lower <= exact.value <= best_upper else "ViolationDetected"
     else:
-        verdict = "ViolationDetected" if violations else "ExactUnavailable"
+        verdict = "ViolationDetected" if best_lower > best_upper else "ExactUnavailable"
 
     return BoundsReport(
         k=k,
@@ -220,6 +209,8 @@ def bounds_report(g: Graph, k: int, compute_exact: bool = True, **budget) -> Bou
         ub_tian_xu=ubt,
         ub_henning_lichiardopol=ubh,
         ub_greedy=greedy.value,
+        best_lower=best_lower,
+        best_upper=best_upper,
         exact=exact,
         verdict=verdict,
     )
@@ -245,17 +236,7 @@ class ProductBoundReport:
     satisfied: bool | None
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "gamma_left": self.gamma_left,
-            "gamma_right": self.gamma_right,
-            "gamma_product": self.gamma_product,
-            "product_order": self.product_order,
-            "product_components": self.product_components,
-            "product_connected": self.product_connected,
-            "lower_bound": self.lower_bound,
-            "satisfied": self.satisfied,
-        }
+        return asdict(self)
 
 
 def product_bound_check(g: Graph, h: Graph, k: int, **budget) -> ProductBoundReport:

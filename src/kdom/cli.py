@@ -1,13 +1,16 @@
 """Command-line front end.
 
-Commands read edge-list text from --in (or stdin) and write one JSON document
-to --out (or stdout); `construct` writes edge-list text instead so its output
-can feed straight back into the other commands. Wall-clock time lives under
-the "timing" key only, keeping the rest of the document byte-reproducible.
+Each command takes only the options its handler reads (see ``_COMMANDS``);
+any other option is a usage error. Commands that read graphs take edge-list
+text from --in (or stdin). A handler returns its result and exit code, and
+`main` writes the result to --out (or stdout): one JSON document, or for
+`construct` edge-list text that can feed straight back into the other
+commands. Wall-clock time lives under the "timing" key only, keeping the rest
+of the document byte-reproducible.
 
 Exit codes: 0 success; 1 fuzz found an invariant violation; 2 malformed
-input; 3 a search budget ran out where exactness was required; 4 an
-internal error.
+input or an option the command does not take; 3 a search budget ran out
+where exactness was required; 4 an internal error.
 """
 
 from __future__ import annotations
@@ -57,21 +60,6 @@ def _read_graphs(args, expected: int) -> list[Graph]:
     return graphs
 
 
-def _emit(args, document: dict, started: float) -> None:
-    document["schema"] = "kdom/1"
-    document["timing"] = {"seconds": round(time.monotonic() - started, 6)}
-    text = json.dumps(document, sort_keys=True, indent=2) + "\n"
-    _write(args, text)
-
-
-def _write(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _budget(args) -> dict:
     return {"budget_nodes": args.budget_nodes, "budget_seconds": args.budget_seconds}
 
@@ -80,22 +68,17 @@ def _finite(x: float) -> float | None:
     return None if x == INF else x
 
 
-def _cmd_gamma(args) -> int:
-    started = time.monotonic()
+def _cmd_gamma(args) -> tuple[dict, int]:
     (g,) = _read_graphs(args, 1)
     certs = [gamma_k_exact(g, k, **_budget(args)) for k in args.k]
     doc = {"command": "gamma", "n": g.n, "m": g.m, "results": [c.to_dict() for c in certs]}
     if len(certs) == 1:
         doc["gamma_k"] = certs[0].value
         doc["status"] = certs[0].status
-    _emit(args, doc, started)
-    if args.require_exact and any(c.status != "Exact" for c in certs):
-        return 3
-    return 0
+    return doc, 3 if args.require_exact and any(c.status != "Exact" for c in certs) else 0
 
 
-def _cmd_metrics(args) -> int:
-    started = time.monotonic()
+def _cmd_metrics(args) -> tuple[dict, int]:
     (g,) = _read_graphs(args, 1)
     met = g.metrics()
     cyc = g.shortest_cycle()
@@ -112,25 +95,18 @@ def _cmd_metrics(args) -> int:
         "eccentricity": [_finite(e) for e in met.ecc],
         "shortest_cycle": list(cyc) if cyc else None,
     }
-    _emit(args, doc, started)
-    return 0
+    return doc, 0
 
 
-def _cmd_bounds(args) -> int:
-    started = time.monotonic()
+def _cmd_bounds(args) -> tuple[dict, int]:
     (g,) = _read_graphs(args, 1)
     reports = [bounds_report(g, k, **_budget(args)) for k in args.k]
     doc = {"command": "bounds", "n": g.n, "m": g.m, "results": [r.to_dict() for r in reports]}
-    _emit(args, doc, started)
-    if args.require_exact and any(
-        r.exact is None or r.exact.status != "Exact" for r in reports
-    ):
-        return 3
-    return 0
+    inexact = any(r.exact is None or r.exact.status != "Exact" for r in reports)
+    return doc, 3 if args.require_exact and inexact else 0
 
 
-def _cmd_product(args) -> int:
-    started = time.monotonic()
+def _cmd_product(args) -> tuple[dict, int]:
     g, h = _read_graphs(args, 2)
     reports = [product_bound_check(g, h, k, **_budget(args)) for k in args.k]
     doc = {
@@ -139,12 +115,10 @@ def _cmd_product(args) -> int:
         "right_n": h.n,
         "results": [r.to_dict() for r in reports],
     }
-    _emit(args, doc, started)
-    return 0
+    return doc, 0
 
 
-def _cmd_spanning_tree(args) -> int:
-    started = time.monotonic()
+def _cmd_spanning_tree(args) -> tuple[dict, int]:
     (g,) = _read_graphs(args, 1)
     results = []
     for k in args.k:
@@ -160,12 +134,10 @@ def _cmd_spanning_tree(args) -> int:
             }
         )
     doc = {"command": "spanning-tree", "n": g.n, "m": g.m, "results": results}
-    _emit(args, doc, started)
-    return 0
+    return doc, 0
 
 
-def _cmd_witness(args) -> int:
-    started = time.monotonic()
+def _cmd_witness(args) -> tuple[dict, int]:
     (g,) = _read_graphs(args, 1)
     cyc = g.shortest_cycle()
     if cyc is None:
@@ -188,11 +160,10 @@ def _cmd_witness(args) -> int:
         "vertex": args.vertex,
         "results": results,
     }
-    _emit(args, doc, started)
-    return 0
+    return doc, 0
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> tuple[str, int]:
     if args.family != "product" and args.n is None:
         raise ValueError(f"--family {args.family} needs --n")
     if args.family == "path":
@@ -204,12 +175,10 @@ def _cmd_construct(args) -> int:
     else:  # product
         left, right = _read_graphs(args, 2)
         g = direct_product(left, right)
-    _write(args, serialize_edge_list(g))
-    return 0
+    return serialize_edge_list(g), 0
 
 
-def _cmd_fuzz(args) -> int:
-    started = time.monotonic()
+def _cmd_fuzz(args) -> tuple[dict, int]:
     # node budget only: a wall-clock budget would make the report depend
     # on machine load, breaking byte-reproducibility
     report = run_fuzz(
@@ -222,8 +191,54 @@ def _cmd_fuzz(args) -> int:
     )
     doc = report.to_dict()
     doc["command"] = "fuzz"
-    _emit(args, doc, started)
-    return 1 if report.failures else 0
+    return doc, 1 if report.failures else 0
+
+
+# Every option a command can take. Each command below lists the ones its
+# handler reads and is given only those.
+_OPTIONS = {
+    "--in": dict(dest="inputs", action="append", metavar="PATH",
+                 help="input edge-list file ('-' for stdin); repeatable"),
+    "--out": dict(metavar="PATH", help="output file (default stdout)"),
+    "--strict": dict(action=argparse.BooleanOptionalAction, default=True,
+                     help="reject duplicate edges and self-loops in inputs"),
+    "--k": dict(type=_parse_k_list, default=[1],
+                help="comma-separated distance parameters (default %(default)s)"),
+    "--budget-nodes": dict(type=int, default=DEFAULT_BUDGET_NODES),
+    "--budget-seconds": dict(type=float, default=DEFAULT_BUDGET_SECONDS),
+    "--require-exact": dict(action="store_true",
+                            help="exit 3 unless every reported value is proven exact"),
+    "--vertex": dict(type=int, required=True, help="the off-cycle vertex v"),
+    "--adjacent": dict(action="store_true",
+                       help="refine the witness pair to adjacent cycle vertices"),
+    "--family": dict(required=True, choices=["path", "cycle", "clique-expanded", "product"]),
+    "--n": dict(type=int, help="order (path/cycle) or backbone length (clique-expanded)"),
+    "--delta": dict(type=int, default=1, help="clique size for clique-expanded"),
+    "--seed": dict(type=int, default=0),
+    "--trials": dict(type=int, default=100),
+    "--n-min": dict(type=int, default=4),
+    "--n-max": dict(type=int, default=12),
+    "--p-min": dict(type=float, default=0.2),
+    "--p-max": dict(type=float, default=0.6),
+}
+_GRAPH_IO = ("--in", "--out", "--strict")
+_SOLVE = (*_GRAPH_IO, "--k", "--budget-nodes", "--budget-seconds")
+
+# (name, handler, help, the options its handler reads)
+_COMMANDS = (
+    ("gamma", _cmd_gamma, "exact distance-k domination number", (*_SOLVE, "--require-exact")),
+    ("metrics", _cmd_metrics, "eccentricities, diameter, radius, girth", _GRAPH_IO),
+    ("bounds", _cmd_bounds, "all lower/upper bounds plus consistency verdict",
+     (*_SOLVE, "--require-exact")),
+    ("product", _cmd_product, "direct-product lower-bound check on two graphs", _SOLVE),
+    ("spanning-tree", _cmd_spanning_tree, "domination-preserving spanning tree", _SOLVE),
+    ("witness", _cmd_witness, "two-path witness for a vertex off a shortest cycle",
+     (*_GRAPH_IO, "--k", "--vertex", "--adjacent")),
+    ("construct", _cmd_construct, "emit a generated graph as edge-list text",
+     (*_GRAPH_IO, "--family", "--n", "--delta")),
+    ("fuzz", _cmd_fuzz, "randomized invariant suite; exit 1 on any failure",
+     ("--out", "--k", "--budget-nodes", "--seed", "--trials", "--n-min", "--n-max", "--p-min", "--p-max")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,72 +247,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Distance-k domination: exact solving, bounds, constructions, fuzzing.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, k_default="1"):
-        p.add_argument("--in", dest="inputs", action="append", metavar="PATH",
-                       help="input edge-list file ('-' for stdin); repeatable")
-        p.add_argument("--out", default=None, metavar="PATH", help="output file (default stdout)")
-        p.add_argument("--k", type=_parse_k_list, default=_parse_k_list(k_default),
-                       help="comma-separated distance parameters (default %(default)s)")
-        p.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True,
-                       help="reject duplicate edges and self-loops in inputs")
-        p.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET_NODES)
-        p.add_argument("--budget-seconds", type=float, default=DEFAULT_BUDGET_SECONDS)
-        p.add_argument("--require-exact", action="store_true",
-                       help="exit 3 unless every reported value is proven exact")
-
-    p = sub.add_parser("gamma", help="exact distance-k domination number")
-    common(p)
-    p.set_defaults(func=_cmd_gamma)
-
-    p = sub.add_parser("metrics", help="eccentricities, diameter, radius, girth")
-    common(p)
-    p.set_defaults(func=_cmd_metrics)
-
-    p = sub.add_parser("bounds", help="all lower/upper bounds plus consistency verdict")
-    common(p)
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("product", help="direct-product lower-bound check on two graphs")
-    common(p)
-    p.set_defaults(func=_cmd_product)
-
-    p = sub.add_parser("spanning-tree", help="domination-preserving spanning tree")
-    common(p)
-    p.set_defaults(func=_cmd_spanning_tree)
-
-    p = sub.add_parser("witness", help="two-path witness for a vertex off a shortest cycle")
-    common(p)
-    p.add_argument("--vertex", type=int, required=True, help="the off-cycle vertex v")
-    p.add_argument("--adjacent", action="store_true",
-                   help="refine the witness pair to adjacent cycle vertices")
-    p.set_defaults(func=_cmd_witness)
-
-    p = sub.add_parser("construct", help="emit a generated graph as edge-list text")
-    common(p)
-    p.add_argument("--family", required=True,
-                   choices=["path", "cycle", "clique-expanded", "product"])
-    p.add_argument("--n", type=int, help="order (path/cycle) or backbone length (clique-expanded)")
-    p.add_argument("--delta", type=int, default=1, help="clique size for clique-expanded")
-    p.set_defaults(func=_cmd_construct)
-
-    p = sub.add_parser("fuzz", help="randomized invariant suite; exit 1 on any failure")
-    common(p, k_default="1,2")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--n-min", type=int, default=4)
-    p.add_argument("--n-max", type=int, default=12)
-    p.add_argument("--p-min", type=float, default=0.2)
-    p.add_argument("--p-max", type=float, default=0.6)
-    p.set_defaults(func=_cmd_fuzz)
-
+    for name, func, help_text, flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_OPTIONS[flag])
+        p.set_defaults(func=func)
+    sub.choices["fuzz"].set_defaults(k=[1, 2])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        output, code = args.func(args)
+        if isinstance(output, dict):  # every command but construct
+            output["schema"] = "kdom/1"
+            output["timing"] = {"seconds": round(time.monotonic() - started, 6)}
+            output = json.dumps(output, sort_keys=True, indent=2) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(output)
+        else:
+            sys.stdout.write(output)
+        return code
     except BudgetExceeded as exc:
         print(f"kdom: {exc}", file=sys.stderr)
         return 3

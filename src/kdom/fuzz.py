@@ -188,12 +188,6 @@ def fuzz(
     return report
 
 
-def _record(failures: list, check: str, trial: int, k: int, g: Graph, **extra) -> None:
-    entry = {"check": check, "trial": trial, "k": k, "graph": serialize_edge_list(g)}
-    entry.update(extra)
-    failures.append(entry)
-
-
 def _run_trial(seed, index, n_range, p_range, k_set, budget):
     rng = random.Random(_trial_seed(seed, index))
     n = rng.randint(n_range[0], n_range[1])
@@ -207,10 +201,15 @@ def _run_trial(seed, index, n_range, p_range, k_set, budget):
     failures: list[dict] = []
     skips: list[str] = []
 
-    def judge(check: str, k: int, ok: bool, **extra) -> None:
+    def judge(check: str, k: int, ok: bool, graph: Graph = g, **extra) -> None:
+        """Count one disposition; a failure records ``graph`` and ``extra``,
+        any graph among them written as edge-list text."""
         dispositions.append((check, "pass" if ok else "fail"))
         if not ok:
-            _record(failures, check, index, k, g, **extra)
+            entry = {"check": check, "trial": index, "k": k, "graph": serialize_edge_list(graph)}
+            for key, value in extra.items():
+                entry[key] = serialize_edge_list(value) if isinstance(value, Graph) else value
+            failures.append(entry)
 
     for k in k_set:
         gamma = gamma_k_oracle(g, k).value
@@ -264,34 +263,14 @@ def _run_trial(seed, index, n_range, p_range, k_set, budget):
         proj_ok = is_k_dominating(
             left, project(cert.vertices, "left", right.n), k
         ) and is_k_dominating(right, project(cert.vertices, "right", right.n), k)
-        dispositions.append(("projection_dominates_factors", "pass" if proj_ok else "fail"))
-        if not proj_ok:
-            _record(
-                failures,
-                "projection_dominates_factors",
-                index,
-                k,
-                left,
-                right_factor=serialize_edge_list(right),
-            )
+        judge("projection_dominates_factors", k, proj_ok, left, right_factor=right)
         if cert.components > 1:
             dispositions.append(("product_lower_bound", "skip"))
             skips.append("disconnected_product")
         else:
             bound = gamma_k_oracle(left, k).value + gamma_k_oracle(right, k).value - 1
-            ok = cert.value >= bound
-            dispositions.append(("product_lower_bound", "pass" if ok else "fail"))
-            if not ok:
-                _record(
-                    failures,
-                    "product_lower_bound",
-                    index,
-                    k,
-                    left,
-                    right_factor=serialize_edge_list(right),
-                    gamma_product=cert.value,
-                    bound=bound,
-                )
+            judge("product_lower_bound", k, cert.value >= bound, left,
+                  right_factor=right, gamma_product=cert.value, bound=bound)
     return dispositions, failures, skips
 
 

@@ -37,7 +37,7 @@ def iter_bits(mask: int) -> Iterator[int]:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "adj_bits", "edges", "_metrics", "_balls")
+    __slots__ = ("n", "adj", "adj_bits", "edges", "_metrics", "_balls", "_components")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         """Build a graph from already-clean edges (no loops, no duplicates).
@@ -59,6 +59,7 @@ class Graph:
         self.adj_bits = tuple(bits)
         self._metrics: Metrics | None = None
         self._balls: dict[int, tuple[int, ...]] = {}
+        self._components: tuple[int, ...] | None = None
 
     @property
     def m(self) -> int:
@@ -146,9 +147,16 @@ class Graph:
             self._balls[k] = table
         return table
 
+    def components(self) -> tuple[int, ...]:
+        """Vertex bitsets of the connected components, ordered by lowest
+        member; computed once and cached."""
+        if self._components is None:
+            self._components = _components(self)
+        return self._components
+
     def is_connected(self) -> bool:
-        """Whether every vertex reaches every other: one BFS from vertex 0."""
-        return self.n <= 1 or max(self.bfs_distances(0)) < self.n
+        """Whether every vertex reaches every other (true for n <= 1)."""
+        return len(self.components()) <= 1
 
     def metrics(self) -> Metrics:
         """Eccentricities, diameter, radius and girth, computed once and cached.
@@ -278,6 +286,26 @@ def _compute_metrics(g: Graph) -> Metrics:
         girth=INF if found is None else found[0],
         connected=connected,
     )
+
+
+def _components(g: Graph) -> tuple[int, ...]:
+    unseen = g.full_mask()
+    comps = []
+    while unseen:
+        start = (unseen & -unseen).bit_length() - 1
+        comp = 1 << start
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                new = g.adj_bits[u] & ~comp
+                if new:
+                    comp |= new
+                    nxt.extend(iter_bits(new))
+            frontier = nxt
+        comps.append(comp)
+        unseen &= ~comp
+    return tuple(comps)
 
 
 def _eccentricities(g: Graph, dist: list[int]) -> list[int]:

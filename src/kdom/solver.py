@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .errors import DisconnectedInput, IndexOutOfRange, InvalidOrder, TooLarge
+from .errors import DisconnectedInput, InvalidOrder, TooLarge
 from .graph import Graph, iter_bits
 
 DEFAULT_BUDGET_NODES = 10_000_000
@@ -80,8 +80,7 @@ def is_k_dominating(g: Graph, candidate: Iterable[int], k: int) -> bool:
     _check_k(k)
     sources = sorted(set(candidate))
     for v in sources:
-        if not 0 <= v < g.n:
-            raise IndexOutOfRange(f"vertex {v} not in [0, {g.n})")
+        g._check_vertex(v)
     if g.n == 0:
         return True
     if not sources:
@@ -266,7 +265,7 @@ def gamma_k_exact(
     balls = g.balls(k)
     budget = _Budget(budget_nodes, budget_seconds)
 
-    comps = _components(g)
+    comps = g.components()
     values, masks, exact, nodes, lbs = zip(*(_solve_component(c, balls, budget) for c in comps))
     return Certificate(
         k,
@@ -278,27 +277,6 @@ def gamma_k_exact(
         "BranchAndBound",
         components=len(comps),
     )
-
-
-def _components(g: Graph) -> list[int]:
-    """Vertex bitsets of the connected components, ordered by lowest member."""
-    unseen = g.full_mask()
-    comps = []
-    while unseen:
-        start = (unseen & -unseen).bit_length() - 1
-        comp = 1 << start
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                new = g.adj_bits[u] & ~comp
-                if new:
-                    comp |= new
-                    nxt.extend(iter_bits(new))
-            frontier = nxt
-        comps.append(comp)
-        unseen &= ~comp
-    return comps
 
 
 def _undominated(vertices: list[int], balls: tuple[int, ...]) -> int:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 
@@ -143,10 +145,28 @@ class TestBoundsReport:
                 assert r.best_lower <= r.exact.value <= r.best_upper
 
     def test_to_dict_json_safe(self):
-        import json
-
         r = bounds_report(path(4), 1)
         json.dumps(r.to_dict())
+
+    def test_one_component_sweep_for_every_k(self, monkeypatch):
+        # connectivity is a cached graph fact: one sweep serves the packing
+        # bound and the exact solve of every k, and no BFS runs beyond metrics()
+        import kdom.graph
+
+        sweeps, bfs = [], []
+        sweep, distances = kdom.graph._components, Graph.bfs_distances
+        monkeypatch.setattr(kdom.graph, "_components", lambda g: sweeps.append(g) or sweep(g))
+        monkeypatch.setattr(Graph, "bfs_distances", lambda g, *s: bfs.append(s) or distances(g, *s))
+        g = path(800)
+        reports = [bounds_report(g, k) for k in (1, 2, 3)]
+        assert len(sweeps) == 1
+        report_bfs = len(bfs)
+        path(800).metrics()
+        assert report_bfs == len(bfs) - report_bfs  # as many as metrics() alone runs
+        # the reports, certificates included, as first produced
+        text = json.dumps([r.to_dict() for r in reports], sort_keys=True)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "6db792b7c9fd13d449c308a0c8f409c7cc26d70ce3127daf0cc0b0d0ba430708"
 
 
 class TestProductBoundCheck:

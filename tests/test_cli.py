@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,7 +6,22 @@ import sys
 import pytest
 
 from kdom import cycle, path, serialize_edge_list
-from kdom.cli import main
+from kdom.cli import build_parser, main
+
+GRAPH_IO = {"--in", "--strict", "--out"}
+SOLVE = GRAPH_IO | {"--k", "--budget-nodes", "--budget-seconds"}
+# the options each command's handler reads, and so the only ones it takes
+OPTIONS_TAKEN = {
+    "gamma": SOLVE | {"--require-exact"},
+    "bounds": SOLVE | {"--require-exact"},
+    "product": SOLVE,
+    "spanning-tree": SOLVE,
+    "metrics": GRAPH_IO,
+    "witness": GRAPH_IO | {"--k", "--vertex", "--adjacent"},
+    "construct": GRAPH_IO | {"--family", "--n", "--delta"},
+    "fuzz": {"--out", "--k", "--budget-nodes", "--seed", "--trials",
+             "--n-min", "--n-max", "--p-min", "--p-max"},
+}
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -24,6 +40,34 @@ def c10_file(tmp_path):
     p = tmp_path / "c10.txt"
     p.write_text(serialize_edge_list(cycle(10)))
     return str(p)
+
+
+class TestOptionTable:
+    def test_each_command_takes_only_what_it_reads(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        taken = {
+            name: {a.option_strings[0] for a in p._actions if a.dest != "help"}
+            for name, p in sub.choices.items()
+        }
+        assert taken == OPTIONS_TAKEN
+        assert sum(len(flags) for flags in taken.values()) == 50
+
+    @pytest.mark.parametrize(
+        "argv, extra",
+        [
+            (["metrics"], "--k 2"),
+            (["fuzz"], "--budget-seconds 5"),
+            (["fuzz"], "--in x"),
+            (["witness", "--vertex", "0"], "--budget-nodes 1"),
+            (["construct", "--family", "path", "--n", "3"], "--require-exact"),
+            (["product"], "--require-exact"),
+        ],
+    )
+    def test_option_not_taken_exits_2(self, capsys, argv, extra):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + extra.split())
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {extra}\n" in capsys.readouterr().err
 
 
 class TestGammaCommand:
@@ -47,6 +91,10 @@ class TestGammaCommand:
         )
         assert code == 3
         assert doc["status"] == "UpperBoundOnly"
+
+    def test_unwritable_out_exit_2(self, capsys, c10_file, tmp_path):
+        assert main(["gamma", "--in", c10_file, "--out", str(tmp_path / "no" / "x.json")]) == 2
+        assert capsys.readouterr().err.startswith("kdom: [Errno 2]")
 
     def test_parse_error_exit_2(self, capsys, tmp_path):
         p = tmp_path / "bad.txt"
@@ -179,6 +227,10 @@ class TestFuzzCommand:
         assert doc["failures"] == []
         for counters in doc["checks_run"].values():
             assert counters["pass"] + counters["fail"] + counters["skip"] == 16
+
+    def test_default_k_is_1_and_2(self, capsys):
+        code, doc = run_json(capsys, "fuzz", "--trials", "1")
+        assert code == 0 and doc["generator_params"]["k_set"] == [1, 2]
 
     def test_byte_identical_reports(self, capsys):
         outs = []

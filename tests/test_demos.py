@@ -1,0 +1,39 @@
+"""Every demo script prints exactly what it printed when its output was pinned.
+
+The demos are deterministic, so a change to any value they show (gamma,
+bounds, certificates, spanning trees, witnesses) changes a SHA-256 below.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+STDOUT_SHA256 = {
+    "bounds_tour.py": "060b7ee50b6de029e75836baaa6413d64abbb33e4c4a1c5a47b13e10e27185e4",
+    "cycle_witness_demo.py": "690d38bb5b5e03bdb6790a17166d6b0c325f61f2ded0f70a94ae7f86a5e859e3",
+    "direct_product_projections.py": "2098cd34ea9359401312f8bcff2120d77fdc298bbccea9cc547909054318f752",
+    "spanning_tree_walkthrough.py": "a56e2f42b510399a49bfee4adc5a6805791dbf40cb9599eabad6de7aed03fdfc",
+}
+
+
+def test_every_demo_is_pinned():
+    assert sorted(p.name for p in (ROOT / "demos").glob("*.py")) == sorted(STDOUT_SHA256)
+
+
+@pytest.mark.parametrize("script", sorted(STDOUT_SHA256))
+def test_demo_output_pinned(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / script)],
+        capture_output=True,
+        env=env,
+        check=True,
+    )
+    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[script]

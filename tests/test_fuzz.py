@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import importlib
 import random
 
 import pytest
@@ -6,6 +8,12 @@ import pytest
 from conftest import random_connected, random_tree
 from kdom import Graph, cycle, fuzz, random_connected_graph
 from kdom.fuzz import CHECKS, _non_bridges
+
+fuzz_module = importlib.import_module("kdom.fuzz")  # the package re-exports fuzz() over it
+
+# the factors of trial 1 of fuzz(seed=3, trials=2, n_range=(6, 8), k_set=(2,))
+LEFT_FACTOR = "4 5\n0 1\n0 2\n0 3\n1 3\n2 3\n"
+RIGHT_FACTOR = "5 10\n0 1\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
 
 
 class TestRandomConnectedGraph:
@@ -73,3 +81,43 @@ class TestFuzz:
         report = fuzz(seed=7, trials=15, n_range=(4, 10), k_set=(1,))
         skips = sum(c["skip"] for c in report.checks_run.values())
         assert skips == sum(report.skipped.values())
+
+
+class TestFailureEntries:
+    """A failed product check records the left factor as its graph."""
+
+    def run(self):
+        return fuzz(seed=3, trials=2, n_range=(6, 8), k_set=(2,))
+
+    def test_projection_failure(self, monkeypatch):
+        monkeypatch.setattr(fuzz_module, "is_k_dominating", lambda g, s, k: False)
+        report = self.run()
+        assert report.checks_run["projection_dominates_factors"]["fail"] == 2
+        assert report.failures[-1] == {
+            "check": "projection_dominates_factors",
+            "trial": 1,
+            "k": 2,
+            "graph": LEFT_FACTOR,
+            "right_factor": RIGHT_FACTOR,
+        }
+
+    def test_product_bound_failure(self, monkeypatch):
+        import kdom.solver
+
+        def zero(g, k, **budget):
+            return dataclasses.replace(kdom.solver.gamma_k_exact(g, k, **budget), value=0)
+
+        monkeypatch.setattr(fuzz_module, "gamma_k_exact", zero)
+        report = self.run()
+        assert report.checks_run["product_lower_bound"]["fail"] == 1
+        assert report.failures == [
+            {
+                "check": "product_lower_bound",
+                "trial": 1,
+                "k": 2,
+                "graph": LEFT_FACTOR,
+                "right_factor": RIGHT_FACTOR,
+                "gamma_product": 0,
+                "bound": 1,
+            }
+        ]

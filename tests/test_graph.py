@@ -245,6 +245,13 @@ class TestMetrics:
         g.metrics()
         assert len(calls) <= 12
 
+    def test_components_ordered_and_cached(self):
+        g = from_edge_list(6, [(3, 4), (0, 2), (4, 5)])
+        assert g.components() == (0b101, 0b10, 0b111000)
+        assert g.components() is g.components()
+        assert not g.is_connected()
+        assert Graph(0, []).components() == () and Graph(0, []).is_connected()
+
     def test_is_connected_matches_metrics(self):
         rng = random.Random(13)
         for _ in range(40):
