@@ -3,10 +3,11 @@
 Each command takes only the options its handler reads (see ``_COMMANDS``);
 any other option is a usage error. Commands that read graphs take edge-list
 text from --in (or stdin). A handler returns its result and exit code, and
-`main` writes the result to --out (or stdout): one JSON document, or for
-`construct` edge-list text that can feed straight back into the other
-commands. Wall-clock time lives under the "timing" key only, keeping the rest
-of the document byte-reproducible.
+`main` writes the result to --out (or stdout): one JSON document, to which it
+adds the "command", "schema" and "timing" keys, or for `construct` edge-list
+text that can feed straight back into the other commands. Wall-clock time
+lives under the "timing" key only, keeping the rest of the document
+byte-reproducible.
 
 Exit codes: 0 success; 1 fuzz found an invariant violation; 2 malformed
 input or an option the command does not take; 3 a search budget ran out
@@ -41,9 +42,10 @@ def _parse_k_list(text: str) -> list[int]:
     try:
         ks = sorted({int(part) for part in text.split(",") if part.strip()})
     except ValueError:
-        raise ValueError(f"--k expects a comma-separated integer list, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"--k expects a comma-separated integer list, got {text!r}") from None
     if not ks or ks[0] < 1:
-        raise ValueError("--k values must be >= 1")
+        raise argparse.ArgumentTypeError("--k values must be >= 1")
     return ks
 
 
@@ -71,7 +73,7 @@ def _finite(x: float) -> float | None:
 def _cmd_gamma(args) -> tuple[dict, int]:
     (g,) = _read_graphs(args, 1)
     certs = [gamma_k_exact(g, k, **_budget(args)) for k in args.k]
-    doc = {"command": "gamma", "n": g.n, "m": g.m, "results": [c.to_dict() for c in certs]}
+    doc = {"n": g.n, "m": g.m, "results": [c.to_dict() for c in certs]}
     if len(certs) == 1:
         doc["gamma_k"] = certs[0].value
         doc["status"] = certs[0].status
@@ -83,7 +85,6 @@ def _cmd_metrics(args) -> tuple[dict, int]:
     met = g.metrics()
     cyc = g.shortest_cycle()
     doc = {
-        "command": "metrics",
         "n": g.n,
         "m": g.m,
         "min_degree": g.min_degree(),
@@ -101,7 +102,7 @@ def _cmd_metrics(args) -> tuple[dict, int]:
 def _cmd_bounds(args) -> tuple[dict, int]:
     (g,) = _read_graphs(args, 1)
     reports = [bounds_report(g, k, **_budget(args)) for k in args.k]
-    doc = {"command": "bounds", "n": g.n, "m": g.m, "results": [r.to_dict() for r in reports]}
+    doc = {"n": g.n, "m": g.m, "results": [r.to_dict() for r in reports]}
     inexact = any(r.exact is None or r.exact.status != "Exact" for r in reports)
     return doc, 3 if args.require_exact and inexact else 0
 
@@ -110,7 +111,6 @@ def _cmd_product(args) -> tuple[dict, int]:
     g, h = _read_graphs(args, 2)
     reports = [product_bound_check(g, h, k, **_budget(args)) for k in args.k]
     doc = {
-        "command": "product",
         "left_n": g.n,
         "right_n": h.n,
         "results": [r.to_dict() for r in reports],
@@ -133,7 +133,7 @@ def _cmd_spanning_tree(args) -> tuple[dict, int]:
                 "tree": serialize_edge_list(res.tree),
             }
         )
-    doc = {"command": "spanning-tree", "n": g.n, "m": g.m, "results": results}
+    doc = {"n": g.n, "m": g.m, "results": results}
     return doc, 0
 
 
@@ -155,7 +155,6 @@ def _cmd_witness(args) -> tuple[dict, int]:
             }
         )
     doc = {
-        "command": "witness",
         "cycle": list(cyc),
         "vertex": args.vertex,
         "results": results,
@@ -189,9 +188,7 @@ def _cmd_fuzz(args) -> tuple[dict, int]:
         k_set=tuple(args.k),
         budget_nodes=args.budget_nodes,
     )
-    doc = report.to_dict()
-    doc["command"] = "fuzz"
-    return doc, 1 if report.failures else 0
+    return report.to_dict(), 1 if report.failures else 0
 
 
 # Every option a command can take. Each command below lists the ones its
@@ -262,6 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         output, code = args.func(args)
         if isinstance(output, dict):  # every command but construct
+            output["command"] = args.command
             output["schema"] = "kdom/1"
             output["timing"] = {"seconds": round(time.monotonic() - started, 6)}
             output = json.dumps(output, sort_keys=True, indent=2) + "\n"

@@ -151,7 +151,8 @@ def preserving_spanning_tree(g: Graph, k: int, **budget) -> SpanningTreeResult:
     and every vertex keeps its graph distance to its own dominator (<= k).
     The cell trees are joined by the lexicographically smallest cross-cell
     edges that connect the partition. Dropping edges can only push the
-    domination number up, and S still dominates T, so equality holds.
+    domination number up, and S still dominates T, so equality holds. The
+    empty graph counts as connected and gets the empty tree.
     """
     if not g.is_connected():
         raise DisconnectedInput("spanning tree requires a connected graph")
@@ -198,7 +199,7 @@ def preserving_spanning_tree(g: Graph, k: int, **budget) -> SpanningTreeResult:
         if cu != cv:
             comp[cu] = cv
             connectors.append((u, v))
-    if len(connectors) != len(dominators) - 1:
+    if len(dominators) - len(connectors) > 1:  # the empty graph has no cells
         raise AssertionError("cell quotient graph is not connected")
 
     tree = Graph(n, tree_edges + connectors)
@@ -252,7 +253,7 @@ def cycle_outsider_witness(
     g._check_vertex(v)
     cyc = list(cycle_vertices)
     _check_is_cycle(g, cyc)
-    girth = g.metrics().girth
+    girth = len(g.shortest_cycle())  # g has a cycle: _check_is_cycle passed
     if len(cyc) != girth:
         raise PreconditionViolated(
             f"given cycle has length {len(cyc)} but the girth is {girth}"

@@ -12,9 +12,9 @@ spanning-tree fallback) and, for every k in the configured set, checks:
   when the product is connected — the additive product lower bound.
 
 Trial randomness derives from (seed, trial index) only, and trials run one
-after another in index order, so the output is byte-for-byte reproducible.
-Trials are pure Python and bound by the interpreter lock, so they run on the
-calling thread. The generator is Python's ``random.Random``
+after another on the calling thread, each writing its dispositions and
+failures straight into the report in index order, so the output is
+byte-for-byte reproducible. The generator is Python's ``random.Random``
 (Mersenne Twister), whose sequences for a fixed integer seed are stable
 across platforms and versions. Embedded exact solves are bounded by a node
 budget alone: a wall-clock budget would make skip counts depend on machine
@@ -49,6 +49,7 @@ CHECKS = (
     "projection_dominates_factors",
     "product_lower_bound",
 )
+SKIP_REASONS = ("acyclic_graph", "budget_exhausted", "disconnected_product", "no_deletable_edge")
 
 _MASK64 = (1 << 64) - 1
 
@@ -126,9 +127,15 @@ class FuzzReport:
     n_range: tuple[int, int]
     p_range: tuple[float, float]
     k_set: tuple[int, ...]
-    checks_run: dict = field(default_factory=dict)
+    checks_run: dict = field(
+        default_factory=lambda: {c: {"pass": 0, "fail": 0, "skip": 0} for c in CHECKS})
     failures: list = field(default_factory=list)
-    skipped: dict = field(default_factory=dict)
+    skipped: dict = field(default_factory=lambda: dict.fromkeys(SKIP_REASONS, 0))
+
+    def skip(self, check: str, reason: str) -> None:
+        """Count one skipped disposition of ``check`` and its reason."""
+        self.checks_run[check]["skip"] += 1
+        self.skipped[reason] += 1
 
     def to_dict(self) -> dict:
         return {
@@ -170,77 +177,57 @@ def fuzz(
 
     budget = {"budget_nodes": budget_nodes, "budget_seconds": float("inf")}
     report = FuzzReport(seed, trials, tuple(n_range), tuple(p_range), k_set)
-    report.checks_run = {c: {"pass": 0, "fail": 0, "skip": 0} for c in CHECKS}
-    report.skipped = {
-        "acyclic_graph": 0,
-        "budget_exhausted": 0,
-        "disconnected_product": 0,
-        "no_deletable_edge": 0,
-    }
-
     for index in range(trials):
-        dispositions, failures, skips = _run_trial(seed, index, n_range, p_range, k_set, budget)
-        for check, disp in dispositions:
-            report.checks_run[check][disp] += 1
-        report.failures.extend(failures)
-        for reason in skips:
-            report.skipped[reason] += 1
+        _run_trial(report, index, budget)
     return report
 
 
-def _run_trial(seed, index, n_range, p_range, k_set, budget):
-    rng = random.Random(_trial_seed(seed, index))
-    n = rng.randint(n_range[0], n_range[1])
-    p = rng.uniform(p_range[0], p_range[1])
+def _run_trial(report: FuzzReport, index: int, budget: dict) -> None:
+    """Run trial ``index`` of ``report`` and record every disposition in it."""
+    rng = random.Random(_trial_seed(report.seed, index))
+    n = rng.randint(*report.n_range)
+    p = rng.uniform(*report.p_range)
     g = random_connected_graph(rng, n, p)
     met = g.metrics()
     # draws nothing from rng, so computing it up front keeps the draw order
     deletable = _non_bridges(g)
 
-    dispositions: list[tuple[str, str]] = []
-    failures: list[dict] = []
-    skips: list[str] = []
-
     def judge(check: str, k: int, ok: bool, graph: Graph = g, **extra) -> None:
-        """Count one disposition; a failure records ``graph`` and ``extra``,
+        """Count a pass or a fail; a failure records ``graph`` and ``extra``,
         any graph among them written as edge-list text."""
-        dispositions.append((check, "pass" if ok else "fail"))
+        report.checks_run[check]["pass" if ok else "fail"] += 1
         if not ok:
             entry = {"check": check, "trial": index, "k": k, "graph": serialize_edge_list(graph)}
             for key, value in extra.items():
                 entry[key] = serialize_edge_list(value) if isinstance(value, Graph) else value
-            failures.append(entry)
+            report.failures.append(entry)
 
-    for k in k_set:
+    for k in report.k_set:
         gamma = gamma_k_oracle(g, k).value
 
         judge("diameter_lower_bound", k, gamma >= lb_diameter(met.diameter, k), gamma=gamma)
         judge("radius_lower_bound", k, gamma >= lb_radius(met.radius, k), gamma=gamma)
         if met.girth == float("inf"):
-            dispositions.append(("girth_lower_bound", "skip"))
-            skips.append("acyclic_graph")
+            report.skip("girth_lower_bound", "acyclic_graph")
         else:
             judge("girth_lower_bound", k, gamma >= lb_girth(met.girth, k), gamma=gamma)
 
         try:
             res = preserving_spanning_tree(g, k, **budget)
         except BudgetExceeded:
-            dispositions.append(("spanning_tree_preserves_gamma", "skip"))
-            skips.append("budget_exhausted")
+            report.skip("spanning_tree_preserves_gamma", "budget_exhausted")
         else:
+            # every vertex stays within k of its own cell's dominator in the tree
+            reach = [res.tree.closed_k_neighborhood(d, k) for d in res.dominating_set]
             ok = (
                 _spanning_tree_valid(g, res.tree)
-                and all(
-                    res.tree.closed_k_neighborhood(res.dominating_set[c], k) >> v & 1
-                    for v, c in enumerate(res.partition)
-                )
+                and all(reach[c] >> v & 1 for v, c in enumerate(res.partition))
                 and gamma_k_oracle(res.tree, k).value == gamma
             )
             judge("spanning_tree_preserves_gamma", k, ok, gamma=gamma)
 
         if not deletable:
-            dispositions.append(("edge_deletion_monotonic", "skip"))
-            skips.append("no_deletable_edge")
+            report.skip("edge_deletion_monotonic", "no_deletable_edge")
         else:
             e = deletable[rng.randrange(len(deletable))]
             sub = Graph(g.n, g.edges - {e})
@@ -256,22 +243,19 @@ def _run_trial(seed, index, n_range, p_range, k_set, budget):
         prod = direct_product(left, right)
         cert = gamma_k_exact(prod, k, **budget)
         if cert.status != "Exact":
-            dispositions.append(("projection_dominates_factors", "skip"))
-            dispositions.append(("product_lower_bound", "skip"))
-            skips.extend(["budget_exhausted", "budget_exhausted"])
+            report.skip("projection_dominates_factors", "budget_exhausted")
+            report.skip("product_lower_bound", "budget_exhausted")
             continue
         proj_ok = is_k_dominating(
             left, project(cert.vertices, "left", right.n), k
         ) and is_k_dominating(right, project(cert.vertices, "right", right.n), k)
         judge("projection_dominates_factors", k, proj_ok, left, right_factor=right)
         if cert.components > 1:
-            dispositions.append(("product_lower_bound", "skip"))
-            skips.append("disconnected_product")
+            report.skip("product_lower_bound", "disconnected_product")
         else:
             bound = gamma_k_oracle(left, k).value + gamma_k_oracle(right, k).value - 1
             judge("product_lower_bound", k, cert.value >= bound, left,
                   right_factor=right, gamma_product=cert.value, bound=bound)
-    return dispositions, failures, skips
 
 
 def _spanning_tree_valid(g: Graph, tree: Graph) -> bool:

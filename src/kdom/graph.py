@@ -289,20 +289,11 @@ def _compute_metrics(g: Graph) -> Metrics:
 
 
 def _components(g: Graph) -> tuple[int, ...]:
+    """Each component is the closed n-neighborhood of its lowest vertex."""
     unseen = g.full_mask()
     comps = []
     while unseen:
-        start = (unseen & -unseen).bit_length() - 1
-        comp = 1 << start
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                new = g.adj_bits[u] & ~comp
-                if new:
-                    comp |= new
-                    nxt.extend(iter_bits(new))
-            frontier = nxt
+        comp = g.closed_k_neighborhood((unseen & -unseen).bit_length() - 1, g.n)
         comps.append(comp)
         unseen &= ~comp
     return tuple(comps)

@@ -166,7 +166,7 @@ def _greedy_cover(universe: int, balls: tuple[int, ...], vertices: Iterable[int]
 
 
 def greedy_upper(g: Graph, k: int) -> Certificate:
-    """Largest-fresh-coverage greedy; an upper bound that seeds the exact search."""
+    """Largest-fresh-coverage greedy over the whole graph; an upper bound."""
     _check_k(k)
     if g.n == 0:
         return Certificate(k, 0, 0, "Exact", 0, 0, "Greedy")
@@ -207,31 +207,6 @@ def gamma_path_cycle(n: int, k: int, shape: str) -> int:
     return -(-n // (2 * k + 1))
 
 
-class _Budget:
-    """Shared node/time budget across the component solves of one call."""
-
-    __slots__ = ("nodes_left", "deadline", "exhausted")
-
-    def __init__(self, nodes: int, seconds: float):
-        self.nodes_left = nodes
-        self.deadline = time.monotonic() + seconds
-        self.exhausted = False
-
-    def tick(self) -> bool:
-        """Charge one search node; False once the budget has run out.
-
-        The wall clock is consulted only every 2048 nodes to keep the hot
-        loop cheap."""
-        if self.exhausted:
-            return False
-        self.nodes_left -= 1
-        if self.nodes_left < 0:
-            self.exhausted = True
-        elif self.nodes_left & 2047 == 0 and time.monotonic() > self.deadline:
-            self.exhausted = True
-        return not self.exhausted
-
-
 def gamma_k_exact(
     g: Graph,
     k: int,
@@ -255,28 +230,29 @@ def gamma_k_exact(
 
     ``lower_bound_used`` sums the root packing bound of each component, whose
     scan stops at the greedy value. ``nodes_explored`` counts the nodes below
-    the root, each charged to ``budget_nodes``. Status is "Exact" when the
-    search completed within budget, otherwise "UpperBoundOnly" with the best
-    incumbent found.
+    the root, each charged to ``budget_nodes``; a negative budget acts like 0.
+    A search stops when it needs node ``budget_nodes + 1`` (so
+    ``nodes_explored`` then equals ``budget_nodes``) or, checked once every
+    2048 nodes, when ``budget_seconds`` have passed. Every component after
+    the one that stopped gets no nodes and keeps its greedy cover. Status is
+    "Exact" when no search stopped, otherwise "UpperBoundOnly" with the best
+    incumbent found. The empty graph has no components: value 0, "Exact".
     """
     _check_k(k)
-    if g.n == 0:
-        return Certificate(k, 0, 0, "Exact", 0, 0, "BranchAndBound", components=0)
     balls = g.balls(k)
-    budget = _Budget(budget_nodes, budget_seconds)
-
+    deadline = time.monotonic() + budget_seconds
     comps = g.components()
-    values, masks, exact, nodes, lbs = zip(*(_solve_component(c, balls, budget) for c in comps))
-    return Certificate(
-        k,
-        sum(masks),  # the components are disjoint, so the sum is the union
-        sum(values),
-        "Exact" if all(exact) else "UpperBoundOnly",
-        sum(lbs),
-        sum(nodes),
-        "BranchAndBound",
-        components=len(comps),
-    )
+    mask = lower = nodes = 0
+    stopped = False
+    for universe in comps:
+        nodes_left = 0 if stopped else budget_nodes - nodes
+        chosen, used, root_lb, halted = _solve_component(universe, balls, nodes_left, deadline)
+        mask |= chosen
+        nodes += used
+        lower += root_lb
+        stopped |= halted
+    status = "UpperBoundOnly" if stopped else "Exact"
+    return Certificate(k, mask, mask.bit_count(), status, lower, nodes, "BranchAndBound", len(comps))
 
 
 def _undominated(vertices: list[int], balls: tuple[int, ...]) -> int:
@@ -293,8 +269,9 @@ def _undominated(vertices: list[int], balls: tuple[int, ...]) -> int:
     return keep
 
 
-def _solve_component(universe, balls, budget):
-    """Search one component; returns (value, mask, exact, nodes, root bound).
+def _solve_component(universe, balls, nodes_left, deadline):
+    """Search one component with at most ``nodes_left`` nodes below the root;
+    returns (mask, nodes, root bound, whether the search stopped early).
 
     Vertices are relabelled 0..m-1 by ascending candidate count, so walking
     the bits of the uncovered mask visits them in the packing order."""
@@ -314,11 +291,13 @@ def _solve_component(universe, balls, budget):
     best = best_set.bit_count()
     root_lb = 1
     nodes = 0
+    stopped = False
     stack = [(0, start, 0, 0)]  # (covered, allowed candidates, size, chosen)
     while stack:
         covered, allowed, size, chosen = stack.pop()
         if size:
-            if not budget.tick():
+            if nodes >= nodes_left or nodes & 2047 == 2047 and time.monotonic() > deadline:
+                stopped = True
                 break
             nodes += 1
         if covered == full:
@@ -361,4 +340,4 @@ def _solve_component(universe, balls, budget):
         if not size:
             root_lb = count
     mask = sum(1 << order[p] for p in iter_bits(best_set))
-    return best, mask, not budget.exhausted, nodes, root_lb
+    return mask, nodes, root_lb, stopped

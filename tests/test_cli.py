@@ -92,6 +92,16 @@ class TestGammaCommand:
         assert code == 3
         assert doc["status"] == "UpperBoundOnly"
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [("0", "--k values must be >= 1"), ("x", "--k expects a comma-separated integer list, got 'x'")],
+    )
+    def test_bad_k_message_reaches_stderr(self, capsys, c10_file, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["gamma", "--k", value, "--in", c10_file])
+        assert exc.value.code == 2
+        assert f"argument --k: {message}\n" in capsys.readouterr().err
+
     def test_unwritable_out_exit_2(self, capsys, c10_file, tmp_path):
         assert main(["gamma", "--in", c10_file, "--out", str(tmp_path / "no" / "x.json")]) == 2
         assert capsys.readouterr().err.startswith("kdom: [Errno 2]")
@@ -167,6 +177,16 @@ class TestSpanningTreeCommand:
         r = doc["results"][0]
         assert r["gamma_k"] == 2
         assert r["tree"].startswith("6 5\n")
+
+
+    def test_empty_graph(self, capsys, tmp_path):
+        p = tmp_path / "empty.txt"
+        p.write_text("0 0\n")
+        code, doc = run_json(capsys, "spanning-tree", "--k", "1,2", "--in", str(p))
+        assert code == 0
+        for r in doc["results"]:
+            assert r["gamma_k"] == 0 and r["tree"] == "0 0\n"
+            assert r["dominating_set"] == r["partition"] == r["connectors"] == []
 
 
 class TestWitnessCommand:

@@ -214,6 +214,13 @@ class TestPreservingSpanningTree:
         with pytest.raises(BudgetExceeded):
             preserving_spanning_tree(cycle(4), 1, budget_nodes=0)
 
+    def test_empty_graph_gets_empty_tree(self):
+        for k in (1, 3):
+            res = preserving_spanning_tree(Graph(0, []), k)
+            assert res.tree == Graph(0, [])
+            assert res.dominating_set == res.partition == res.connectors == ()
+            assert res.certificate.value == 0 and res.certificate.status == "Exact"
+
 
 class TestCycleOutsiderWitness:
     def test_c4_apex(self):
@@ -258,6 +265,18 @@ class TestCycleOutsiderWitness:
                     assert wit.w not in wit.path_u and wit.u not in wit.path_w
                     _assert_shortest_path(g, dist_v, wit.path_u)
                     _assert_shortest_path(g, dist_v, wit.path_w)
+
+    def test_girth_read_without_metrics(self, monkeypatch):
+        # the witness needs only the girth, never the eccentricity sweeps
+        expected = cycle_outsider_witness(*cycle_witness_gadget(3, rotation=2, pendant=1), 3)
+
+        def no_metrics(self):
+            raise AssertionError("metrics() called")
+
+        monkeypatch.setattr(Graph, "metrics", no_metrics)
+        assert cycle_outsider_witness(*cycle_witness_gadget(3, rotation=2, pendant=1), 3) == expected
+        with pytest.raises(PreconditionViolated, match="girth is 3"):
+            cycle_outsider_witness(complete(4), [0, 1, 2, 3], 0, 1)
 
     def test_adjacent_refinement(self):
         # apex over C4 2-dominates the whole cycle

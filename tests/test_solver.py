@@ -222,6 +222,47 @@ class TestGammaKExact:
         assert is_k_dominating(cycle(4), cert.vertices, 1)
         assert cert.value >= gamma_k_oracle(cycle(4), 1).value
 
+    def test_budget_stop_in_first_component_marks_whole_certificate(self):
+        # the first component needs 2552 nodes; the path 60-61-62 closes at its root
+        first = _sparse(5, 60)
+        g = Graph(63, [*first.edges, (60, 61), (61, 62)])
+        cert = gamma_k_exact(g, 1, budget_nodes=100)
+        assert cert.components == 2
+        assert cert.status == "UpperBoundOnly"
+        assert cert.nodes_explored == 100
+        assert is_k_dominating(g, cert.vertices, 1)
+
+    def test_components_after_a_stop_get_no_nodes(self):
+        # C4 on 60..63 needs 3 nodes of its own, but the first component
+        # already spent the budget, so C4 keeps its greedy pair
+        first = _sparse(5, 60)
+        g = Graph(64, [*first.edges, (60, 61), (61, 62), (62, 63), (63, 60)])
+        cert = gamma_k_exact(g, 1, budget_nodes=100)
+        assert cert.status == "UpperBoundOnly" and cert.nodes_explored == 100
+        assert (cert.mask >> 60).bit_count() == 2
+        assert is_k_dominating(g, cert.vertices, 1)
+
+    def test_negative_budget_acts_like_zero(self):
+        for g in (cycle(4), _sparse(5, 60), from_edge_list(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)])):
+            assert gamma_k_exact(g, 1, budget_nodes=-5) == gamma_k_exact(g, 1, budget_nodes=0)
+
+    def test_time_budget_stops_within_2048_nodes(self):
+        g = _sparse(5, 60)  # needs 2552 nodes
+        cert = gamma_k_exact(g, 1, budget_seconds=0)
+        assert cert.status == "UpperBoundOnly" and cert.nodes_explored < 2048
+        assert is_k_dominating(g, cert.vertices, 1)
+
+    def test_disconnected_ample_budget_is_exact_sum(self):
+        first = _sparse(5, 60)
+        parts = [first, cycle(7), path(10), Graph(1, [])]
+        edges, offset = [], 0
+        for part in parts:
+            edges.extend((u + offset, v + offset) for u, v in part.edges)
+            offset += part.n
+        cert = gamma_k_exact(Graph(offset, edges), 1)
+        assert cert.status == "Exact" and cert.components == 4
+        assert cert.value == sum(gamma_k_exact(part, 1).value for part in parts) == 14 + 3 + 4 + 1
+
     def test_monotone_in_k(self):
         rng = random.Random(12)
         for _ in range(15):
