@@ -22,16 +22,13 @@ from .bounds import (
 )
 from .constructions import (
     CycleWitness,
-    ProductVertex,
     SpanningTreeResult,
     clique_expanded_path,
     cycle,
     cycle_outsider_witness,
     direct_product,
-    flat_index,
     path,
     preserving_spanning_tree,
-    product_vertex,
     project,
 )
 from .errors import (
@@ -84,7 +81,6 @@ __all__ = [
     "ParseError",
     "PreconditionViolated",
     "ProductBoundReport",
-    "ProductVertex",
     "SimplenessViolation",
     "SpanningTreeResult",
     "TooLarge",
@@ -93,7 +89,6 @@ __all__ = [
     "cycle",
     "cycle_outsider_witness",
     "direct_product",
-    "flat_index",
     "from_edge_list",
     "fuzz",
     "gamma_k_exact",
@@ -110,7 +105,6 @@ __all__ = [
     "path",
     "preserving_spanning_tree",
     "product_bound_check",
-    "product_vertex",
     "project",
     "random_connected_graph",
     "serialize_edge_list",

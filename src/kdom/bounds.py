@@ -85,10 +85,11 @@ class BoundsReport:
     non-empty graphs; ``raw_*`` keep the fractional formula values. A None
     bound was inapplicable. ``best_lower`` is the largest lower bound (1, or
     0 for the empty graph, when none applies) and ``best_upper`` the smallest
-    upper bound. ``verdict`` is "Consistent" when the sandwich
-    best_lower <= exact <= best_upper holds, "ExactUnavailable" when no exact
-    value was established, and "ViolationDetected" otherwise — the bounds are
-    proven inequalities, so a violation always means an implementation bug.
+    upper bound. ``exact`` is always the solve's certificate. ``verdict`` is
+    "Consistent" when the sandwich best_lower <= exact <= best_upper holds,
+    "ExactUnavailable" when a budget stopped the solve, and
+    "ViolationDetected" otherwise — the bounds are proven inequalities, so a
+    violation always means an implementation bug.
     """
 
     k: int
@@ -113,7 +114,7 @@ class BoundsReport:
     ub_greedy: int
     best_lower: int
     best_upper: int
-    exact: Certificate | None
+    exact: Certificate
     verdict: str
 
     def to_dict(self) -> dict:
@@ -149,14 +150,14 @@ class BoundsReport:
             },
             "best_lower": self.best_lower,
             "best_upper": self.best_upper,
-            "exact": self.exact.to_dict() if self.exact else None,
+            "exact": self.exact.to_dict(),
             "verdict": self.verdict,
         }
 
 
-def bounds_report(g: Graph, k: int, compute_exact: bool = True, **budget) -> BoundsReport:
-    """Aggregate every applicable bound and judge consistency against the
-    exact value when one can be established within budget."""
+def bounds_report(g: Graph, k: int, **budget) -> BoundsReport:
+    """Aggregate every applicable bound, solve for gamma_k within budget, and
+    judge consistency against the exact value when the solve finished."""
     _check_k(k)
     met = g.metrics()
     n = g.n
@@ -179,11 +180,11 @@ def bounds_report(g: Graph, k: int, compute_exact: bool = True, **budget) -> Bou
         ubm = ubt = ubh = None
 
     greedy = greedy_upper(g, k)
-    exact = gamma_k_exact(g, k, **budget) if compute_exact else None
+    exact = gamma_k_exact(g, k, **budget)
 
     best_lower = max((b for b in (lbd, lbr, lbg, lbp) if b is not None), default=1 if n else 0)
     best_upper = min([b for b in (ubm, ubt, ubh) if b is not None] + [greedy.value])
-    if exact is not None and exact.status == "Exact":
+    if exact.status == "Exact":
         verdict = "Consistent" if best_lower <= exact.value <= best_upper else "ViolationDetected"
     else:
         verdict = "ViolationDetected" if best_lower > best_upper else "ExactUnavailable"

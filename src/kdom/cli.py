@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from .bounds import bounds_report, product_bound_check
@@ -103,7 +104,7 @@ def _cmd_bounds(args) -> tuple[dict, int]:
     (g,) = _read_graphs(args, 1)
     reports = [bounds_report(g, k, **_budget(args)) for k in args.k]
     doc = {"n": g.n, "m": g.m, "results": [r.to_dict() for r in reports]}
-    inexact = any(r.exact is None or r.exact.status != "Exact" for r in reports)
+    inexact = any(r.exact.status != "Exact" for r in reports)
     return doc, 3 if args.require_exact and inexact else 0
 
 
@@ -142,18 +143,10 @@ def _cmd_witness(args) -> tuple[dict, int]:
     cyc = g.shortest_cycle()
     if cyc is None:
         raise KdomError("graph is acyclic: no shortest cycle to witness against")
-    results = []
-    for k in args.k:
-        wit = cycle_outsider_witness(g, cyc, args.vertex, k, adjacent=args.adjacent)
-        results.append(
-            {
-                "k": k,
-                "u": wit.u,
-                "w": wit.w,
-                "path_u": list(wit.path_u),
-                "path_w": list(wit.path_w),
-            }
-        )
+    results = [
+        {"k": k, **asdict(cycle_outsider_witness(g, cyc, args.vertex, k, adjacent=args.adjacent))}
+        for k in args.k
+    ]
     doc = {
         "cycle": list(cyc),
         "vertex": args.vertex,

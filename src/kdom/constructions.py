@@ -72,35 +72,13 @@ def clique_expanded_path(n_base: int, delta: int) -> Graph:
 # -- direct products and projections ----------------------------------------
 
 
-@dataclass(frozen=True)
-class ProductVertex:
-    """A product-graph vertex: factor coordinates plus its flattened index."""
-
-    g: int
-    h: int
-    flat: int
-
-
-def flat_index(g: int, h: int, h_order: int) -> int:
-    """Canonical flattened index of the product vertex (g, h)."""
-    if g < 0 or not 0 <= h < h_order:
-        raise IndexOutOfRange(f"({g},{h}) is not a product vertex with h_order {h_order}")
-    return g * h_order + h
-
-
-def product_vertex(flat: int, h_order: int) -> ProductVertex:
-    """Decode a flattened index back into factor coordinates."""
-    if flat < 0:
-        raise IndexOutOfRange(f"flat index {flat} is negative")
-    return ProductVertex(flat // h_order, flat % h_order, flat)
-
-
 def direct_product(g: Graph, h: Graph) -> Graph:
     """Direct (tensor) product: edges pair up one edge from each factor.
 
-    The result lives on flattened indices (see :func:`flat_index`), has
-    exactly 2*m(G)*m(H) edges, and can be disconnected even when both factors
-    are connected (two bipartite factors always split it).
+    The product vertex (a, b), with a in G and b in H, has the flattened
+    index a*n(H) + b. The result has exactly 2*m(G)*m(H) edges, and can be
+    disconnected even when both factors are connected (two bipartite factors
+    always split it).
     """
     if g.n == 0 or h.n == 0:
         raise EmptyFactor("direct product requires non-empty factors")
@@ -112,14 +90,17 @@ def direct_product(g: Graph, h: Graph) -> Graph:
     return Graph(g.n * h.n, edges)
 
 
-def project(vertices: Iterable[int | ProductVertex], side: str, h_order: int) -> set[int]:
-    """Coordinates of a product-vertex set on one factor ("left" or "right")."""
+def project(vertices: Iterable[int], side: str, h_order: int) -> set[int]:
+    """Coordinates on one factor ("left" or "right") of flattened product
+    vertices: the flat index f stands for (f // h_order, f % h_order)."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     out = set()
     for v in vertices:
-        pv = v if isinstance(v, ProductVertex) else product_vertex(v, h_order)
-        out.add(pv.g if side == "left" else pv.h)
+        if v < 0:
+            raise IndexOutOfRange(f"flat index {v} is negative")
+        left, right = divmod(v, h_order)
+        out.add(left if side == "left" else right)
     return out
 
 

@@ -99,11 +99,11 @@ def _non_bridges(g: Graph) -> list[tuple[int, int]]:
     return [e for e in sorted(g.edges) if e not in bridges]
 
 
-def random_connected_graph(rng: random.Random, n: int, p: float, max_attempts: int = 1000) -> Graph:
-    """Connected G(n,p) by rejection; falls back to a random spanning tree
-    plus p-density extra edges so low p still makes progress."""
+def random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:
+    """Connected G(n,p) by rejection over 1000 draws, then a random spanning
+    tree plus p-density extra edges so low p still makes progress."""
     all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for _ in range(max_attempts):
+    for _ in range(1000):
         g = Graph(n, [e for e in all_pairs if rng.random() < p])
         if g.is_connected():
             return g

@@ -1,7 +1,8 @@
 """Edge-list text format: parse and canonical serialization.
 
-Format: a header line "n m", then exactly m lines "u v" with 0-based ASCII
-decimal indices. Lines starting with '#' (and blank lines) are ignored.
+Format: a header line "n m" with n <= MAX_VERTICES, then exactly m lines
+"u v" with 0-based ASCII decimal indices. Lines starting with '#' (and blank
+lines) are ignored.
 Serialization is canonical — edges sorted with the lower endpoint first — so
 parse(serialize(G)) reproduces G exactly and serialized graphs are safe to
 embed in golden files and failure reports.
@@ -12,18 +13,20 @@ from __future__ import annotations
 from .errors import CountMismatch, IndexOutOfRange, ParseError
 from .graph import Graph, from_edge_list
 
+MAX_VERTICES = 1_000_000
+
 
 def parse_edge_list(text: str, strict: bool = True) -> Graph:
-    """Graph from edge-list text; errors carry the offending 1-based line."""
-    header: tuple[int, int] | None = None
+    """Graph from edge-list text; errors carry the offending 1-based line.
+    A header above ``MAX_VERTICES`` vertices fails before any allocation."""
+    n = m = None
     pairs: list[tuple[int, int]] = []
-    pair_lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split()
-        if header is None:
+        if n is None:
             if len(fields) != 2:
                 raise ParseError("header must be 'n m'", lineno)
             try:
@@ -32,7 +35,9 @@ def parse_edge_list(text: str, strict: bool = True) -> Graph:
                 raise ParseError("header must hold two integers", lineno) from None
             if n < 0 or m < 0:
                 raise ParseError("header counts must be non-negative", lineno)
-            header = (n, m)
+            if n > MAX_VERTICES:
+                raise ParseError(
+                    f"header declares {n} vertices, above the cap of {MAX_VERTICES}", lineno)
             continue
         if len(fields) != 2:
             raise ParseError("edge line must be 'u v'", lineno)
@@ -40,16 +45,13 @@ def parse_edge_list(text: str, strict: bool = True) -> Graph:
             u, v = int(fields[0]), int(fields[1])
         except ValueError:
             raise ParseError("edge endpoints must be integers", lineno) from None
-        pairs.append((u, v))
-        pair_lines.append(lineno)
-    if header is None:
-        raise ParseError("missing 'n m' header", None)
-    n, m = header
-    if len(pairs) != m:
-        raise CountMismatch(f"header declares {m} edges but found {len(pairs)}", None)
-    for (u, v), lineno in zip(pairs, pair_lines):
         if not (0 <= u < n and 0 <= v < n):
             raise IndexOutOfRange(f"line {lineno}: edge ({u},{v}) outside [0, {n})")
+        pairs.append((u, v))
+    if n is None:
+        raise ParseError("missing 'n m' header", None)
+    if len(pairs) != m:
+        raise CountMismatch(f"header declares {m} edges but found {len(pairs)}", None)
     return from_edge_list(n, pairs, strict=strict)
 
 

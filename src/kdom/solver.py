@@ -108,17 +108,17 @@ def is_k_dominating(g: Graph, candidate: Iterable[int], k: int) -> bool:
     return reached == g.n
 
 
-def gamma_k_oracle(g: Graph, k: int, max_n: int = ORACLE_MAX_N) -> Certificate:
+def gamma_k_oracle(g: Graph, k: int) -> Certificate:
     """Ground-truth domination number by enumerating sets of growing size.
 
     Deterministic: returns the lexicographically first minimum set. Refuses
-    graphs larger than ``max_n`` vertices; the enumeration is exponential.
+    graphs above ``ORACLE_MAX_N`` vertices; the enumeration is exponential.
     Coverage is derived from plain BFS distance vectors so the oracle shares
     no cover machinery with the branch-and-bound it is used to validate.
     """
     _check_k(k)
-    if g.n > max_n:
-        raise TooLarge(f"oracle capped at n <= {max_n}, got n = {g.n}")
+    if g.n > ORACLE_MAX_N:
+        raise TooLarge(f"oracle capped at n <= {ORACLE_MAX_N}, got n = {g.n}")
     if g.n == 0:
         return Certificate(k, 0, 0, "Exact", 0, 0, "Oracle")
     balls = []

@@ -131,10 +131,6 @@ class TestBoundsReport:
         assert r.exact.status == "UpperBoundOnly"
         assert r.verdict == "ExactUnavailable"
 
-    def test_skip_exact(self):
-        r = bounds_report(cycle(6), 1, compute_exact=False)
-        assert r.exact is None and r.verdict == "ExactUnavailable"
-
     def test_sandwich_on_random_graphs(self):
         rng = random.Random(37)
         for _ in range(25):

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import kdom.io
 from kdom import cycle, path, serialize_edge_list
 from kdom.cli import build_parser, main
 
@@ -111,6 +112,12 @@ class TestGammaCommand:
         p.write_text("3 1\n0 9\n")
         code = main(["gamma", "--in", str(p)])
         assert code == 2
+
+    def test_vertex_cap_exit_2(self, capsys, tmp_path):
+        p = tmp_path / "huge.txt"
+        p.write_text(f"{kdom.io.MAX_VERTICES + 1} 0\n")
+        assert main(["gamma", "--in", str(p)]) == 2
+        assert "above the cap" in capsys.readouterr().err
 
     def test_no_strict_tolerates_duplicates(self, capsys, tmp_path):
         p = tmp_path / "dup.txt"

@@ -8,20 +8,18 @@ from kdom import (
     DisconnectedInput,
     EmptyFactor,
     Graph,
+    IndexOutOfRange,
     InvalidOrder,
     PreconditionViolated,
-    ProductVertex,
     clique_expanded_path,
     cycle,
     cycle_outsider_witness,
     direct_product,
-    flat_index,
     from_edge_list,
     gamma_k_oracle,
     is_k_dominating,
     path,
     preserving_spanning_tree,
-    product_vertex,
     project,
 )
 
@@ -145,23 +143,25 @@ class TestProjection:
         assert project([], "left", 3) == set()
 
     def test_example(self):
-        verts = [flat_index(0, 0, 3), flat_index(2, 1, 3)]
+        verts = [0, 7]  # (0, 0) and (2, 1) with h_order 3
         assert project(verts, "left", 3) == {0, 2}
         assert project(verts, "right", 3) == {0, 1}
 
     def test_collapse(self):
-        verts = [flat_index(0, h, 4) for h in range(4)]
+        verts = range(4)  # (0, h) for every h with h_order 4
         assert project(verts, "left", 4) == {0}
 
-    def test_accepts_product_vertices(self):
-        pv = product_vertex(7, 3)
-        assert pv == ProductVertex(2, 1, 7)
-        assert project([pv], "right", 3) == {1}
+    def test_matches_divmod(self):
+        # flat index f of G x H stands for (f // n(H), f % n(H))
+        for g, h in ((path(3), path(4)), (path(5), path(2))):
+            for f in range(direct_product(g, h).n):
+                left, right = divmod(f, h.n)
+                assert project([f], "left", h.n) == {left}
+                assert project([f], "right", h.n) == {right}
 
-    def test_flat_round_trip(self):
-        for g in range(4):
-            for h in range(5):
-                assert product_vertex(flat_index(g, h, 5), 5) == ProductVertex(g, h, g * 5 + h)
+    def test_negative_index_rejected(self):
+        with pytest.raises(IndexOutOfRange):
+            project([-1], "left", 3)
 
 
 class TestPreservingSpanningTree:

@@ -26,7 +26,7 @@ class TestRandomConnectedGraph:
 
     def test_low_p_falls_back_to_tree(self):
         rng = random.Random(2)
-        g = random_connected_graph(rng, 12, 0.0, max_attempts=3)
+        g = random_connected_graph(rng, 12, 0.0)
         assert g.m == 11  # spanning tree, no extras at p=0
 
 

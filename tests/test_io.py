@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import kdom.io
 from conftest import random_graph
 from kdom import (
     CountMismatch,
@@ -37,6 +38,16 @@ class TestParse:
             parse_edge_list("a b\n")
         with pytest.raises(ParseError):
             parse_edge_list("")
+
+    def test_vertex_cap(self):
+        # rejected on the header line, before anything the size of n exists
+        with pytest.raises(ParseError, match="line 1: .* above the cap"):
+            parse_edge_list(f"{kdom.io.MAX_VERTICES + 1} 0\n")
+
+    def test_range_checked_as_each_edge_is_read(self):
+        # the range error of line 2 comes before the short edge count
+        with pytest.raises(IndexOutOfRange, match="line 2"):
+            parse_edge_list("3 2\n0 3\n")
 
     def test_bad_edge_line(self):
         with pytest.raises(ParseError, match="line 2"):

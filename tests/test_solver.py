@@ -21,6 +21,7 @@ from kdom import (
     packing_lower,
     path,
 )
+from kdom.solver import ORACLE_MAX_N
 
 
 class TestIsKDominating:
@@ -66,6 +67,11 @@ class TestOracle:
     def test_too_large(self):
         with pytest.raises(TooLarge):
             gamma_k_oracle(path(17), 1)
+
+    def test_cap_is_oracle_constant(self):
+        assert gamma_k_oracle(complete(ORACLE_MAX_N), 1).value == 1
+        with pytest.raises(TooLarge):
+            gamma_k_oracle(complete(ORACLE_MAX_N + 1), 1)
 
     def test_isolated_vertex_with_huge_k(self):
         # k beyond n must not let the unreachable sentinel count as covered
