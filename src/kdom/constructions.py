@@ -21,24 +21,30 @@ from .errors import (
     IndexOutOfRange,
     InvalidOrder,
     PreconditionViolated,
+    TooLarge,
 )
 from .graph import Graph
+from .io import MAX_VERTICES
 from .solver import Certificate, _check_k, gamma_k_exact
 
 # -- generators -------------------------------------------------------------
 
 
 def path(n: int) -> Graph:
-    """Path on vertices 0..n-1 in order."""
+    """Path on vertices 0..n-1 in order, n at most ``MAX_VERTICES``."""
     if n < 1:
         raise InvalidOrder("path requires n >= 1")
+    if n > MAX_VERTICES:
+        raise InvalidOrder(f"path of {n} vertices is above the cap of {MAX_VERTICES}")
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
-    """Cycle on vertices 0..n-1 in order."""
+    """Cycle on vertices 0..n-1 in order, n at most ``MAX_VERTICES``."""
     if n < 3:
         raise InvalidOrder("cycle requires n >= 3")
+    if n > MAX_VERTICES:
+        raise InvalidOrder(f"cycle of {n} vertices is above the cap of {MAX_VERTICES}")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -50,11 +56,16 @@ def clique_expanded_path(n_base: int, delta: int) -> Graph:
     completely to the neighboring positions. The result has
     ``2 + (n_base - 2) * delta`` vertices, diameter ``n_base - 1`` and
     minimum degree >= ``delta``; with ``delta = 1`` it is the plain path.
+    That order may not exceed ``MAX_VERTICES``.
     """
     if n_base < 3:
         raise InvalidOrder("clique-expanded path requires n_base >= 3")
     if delta < 1:
         raise InvalidOrder("clique size delta must be >= 1")
+    order = 2 + (n_base - 2) * delta
+    if order > MAX_VERTICES:
+        raise InvalidOrder(
+            f"clique-expanded path of {order} vertices is above the cap of {MAX_VERTICES}")
     cells = [[0]]
     nxt = 1
     for _ in range(n_base - 2):
@@ -78,10 +89,14 @@ def direct_product(g: Graph, h: Graph) -> Graph:
     The product vertex (a, b), with a in G and b in H, has the flattened
     index a*n(H) + b. The result has exactly 2*m(G)*m(H) edges, and can be
     disconnected even when both factors are connected (two bipartite factors
-    always split it).
+    always split it). An order above ``MAX_VERTICES`` raises
+    :class:`TooLarge` before any edge is built.
     """
     if g.n == 0 or h.n == 0:
         raise EmptyFactor("direct product requires non-empty factors")
+    if g.n * h.n > MAX_VERTICES:
+        raise TooLarge(
+            f"direct product of {g.n * h.n} vertices is above the cap of {MAX_VERTICES}")
     edges = []
     for g1, g2 in g.edges:
         for h1, h2 in h.edges:

@@ -1,10 +1,10 @@
 """Immutable simple graphs with BFS-based metric computations.
 
-Vertices are the integers 0..n-1. Every graph keeps two synchronized views of
-the adjacency relation: sorted neighbor tuples for BFS traversal and one int
-bitset per vertex for word-parallel cover operations in the solver. Distances
-are plain hop counts; inside a BFS distance row "unreachable" is encoded as
-the sentinel value n (strictly larger than any realizable distance), while
+Vertices are the integers 0..n-1. The adjacency relation is kept once, as
+sorted neighbor tuples, and every traversal is a BFS over them; vertex sets
+handed to the solver (k-balls, components) are int bitsets. Distances are
+plain hop counts; inside a BFS distance row "unreachable" is encoded as the
+sentinel value n (strictly larger than any realizable distance), while
 reporting-level quantities (diameter, radius, girth, eccentricity) use
 ``math.inf`` so disconnected and acyclic cases read naturally.
 
@@ -37,7 +37,7 @@ def iter_bits(mask: int) -> Iterator[int]:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "adj_bits", "edges", "_metrics", "_balls", "_components")
+    __slots__ = ("n", "adj", "edges", "_metrics", "_balls", "_components")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         """Build a graph from already-clean edges (no loops, no duplicates).
@@ -48,15 +48,11 @@ class Graph:
         self.n = n
         edge_set = frozenset((u, v) if u < v else (v, u) for u, v in edges)
         adj: list[list[int]] = [[] for _ in range(n)]
-        bits = [0] * n
         for u, v in edge_set:
             adj[u].append(v)
             adj[v].append(u)
-            bits[u] |= 1 << v
-            bits[v] |= 1 << u
         self.edges = edge_set
         self.adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-        self.adj_bits = tuple(bits)
         self._metrics: Metrics | None = None
         self._balls: dict[int, tuple[int, ...]] = {}
         self._components: tuple[int, ...] | None = None
@@ -123,16 +119,16 @@ class Graph:
         self._check_vertex(v)
         if k < 0:
             raise ValueError("k must be >= 0")
-        mask = 1 << v
+        adj = self.adj
+        seen = 1 << v
         frontier = [v]
-        seen = mask
         for _ in range(min(k, self.n - 1)):
             nxt = []
             for u in frontier:
-                new = self.adj_bits[u] & ~seen
-                if new:
-                    seen |= new
-                    nxt.extend(iter_bits(new))
+                for w in adj[u]:
+                    if not seen >> w & 1:
+                        seen |= 1 << w
+                        nxt.append(w)
             if not nxt:
                 break
             frontier = nxt
@@ -289,13 +285,21 @@ def _compute_metrics(g: Graph) -> Metrics:
 
 
 def _components(g: Graph) -> tuple[int, ...]:
-    """Each component is the closed n-neighborhood of its lowest vertex."""
-    unseen = g.full_mask()
+    """One BFS per component, each from the lowest vertex not yet reached."""
+    adj = g.adj
+    seen = [False] * g.n
     comps = []
-    while unseen:
-        comp = g.closed_k_neighborhood((unseen & -unseen).bit_length() - 1, g.n)
-        comps.append(comp)
-        unseen &= ~comp
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        members = [root]
+        for u in members:  # the list grows as the BFS reaches new vertices
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    members.append(w)
+        comps.append(sum(1 << v for v in members))
     return tuple(comps)
 
 

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import subprocess
 import sys
 
@@ -174,6 +175,13 @@ class TestProductCommand:
         a.write_text(serialize_edge_list(path(4)))
         assert main(["product", "--in", str(a)]) == 2
 
+    @pytest.mark.parametrize("command", [["product"], ["construct", "--family", "product"]])
+    def test_vertex_cap_exit_2(self, capsys, tmp_path, command):
+        a = tmp_path / "p.txt"
+        a.write_text(serialize_edge_list(path(math.isqrt(kdom.io.MAX_VERTICES) + 1)))
+        assert main([*command, "--in", str(a), "--in", str(a)]) == 2
+        assert "above the cap" in capsys.readouterr().err
+
 
 class TestSpanningTreeCommand:
     def test_c6(self, capsys, tmp_path):
@@ -224,6 +232,21 @@ class TestConstructCommand:
 
     def test_invalid_order_exit_2(self, capsys):
         assert main(["construct", "--family", "cycle", "--n", "2"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "path", "--n", str(kdom.io.MAX_VERTICES + 1)],
+            ["--family", "cycle", "--n", str(kdom.io.MAX_VERTICES + 1)],
+            # 2 + (3 - 2) * (MAX_VERTICES - 1) = MAX_VERTICES + 1 vertices
+            ["--family", "clique-expanded", "--n", "3", "--delta", str(kdom.io.MAX_VERTICES - 1)],
+        ],
+        ids=["path", "cycle", "clique-expanded"],
+    )
+    def test_vertex_cap_exit_2(self, capsys, argv):
+        # output above the cap could not be parsed back by the other commands
+        assert main(["construct", *argv]) == 2
+        assert "above the cap" in capsys.readouterr().err
 
     @pytest.mark.parametrize("family", ["path", "cycle", "clique-expanded"])
     def test_missing_n_exit_2(self, capsys, family):

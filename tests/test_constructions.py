@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from kdom import (
     IndexOutOfRange,
     InvalidOrder,
     PreconditionViolated,
+    TooLarge,
     clique_expanded_path,
     cycle,
     cycle_outsider_witness,
@@ -22,6 +24,7 @@ from kdom import (
     preserving_spanning_tree,
     project,
 )
+from kdom.io import MAX_VERTICES
 
 
 def cycle_witness_gadget(k: int, rotation: int = 0, pendant: int = 0):
@@ -65,6 +68,11 @@ class TestGenerators:
         with pytest.raises(InvalidOrder):
             cycle(2)
 
+    @pytest.mark.parametrize("family", [path, cycle])
+    def test_vertex_cap(self, family):
+        with pytest.raises(InvalidOrder, match="above the cap"):
+            family(MAX_VERTICES + 1)
+
 
 class TestCliqueExpandedPath:
     def test_delta_1_recovers_path(self):
@@ -96,6 +104,11 @@ class TestCliqueExpandedPath:
         with pytest.raises(InvalidOrder):
             clique_expanded_path(4, 0)
 
+    def test_vertex_cap(self):
+        # 2 + (3 - 2) * (MAX_VERTICES - 1) = MAX_VERTICES + 1 vertices
+        with pytest.raises(InvalidOrder, match="above the cap"):
+            clique_expanded_path(3, MAX_VERTICES - 1)
+
 
 class TestDirectProduct:
     def test_k2_k2_is_disconnected_matching(self):
@@ -124,6 +137,11 @@ class TestDirectProduct:
     def test_empty_factor(self):
         with pytest.raises(EmptyFactor):
             direct_product(Graph(0, []), path(2))
+
+    def test_vertex_cap(self):
+        side = math.isqrt(MAX_VERTICES) + 1  # side * side >= MAX_VERTICES + 1
+        with pytest.raises(TooLarge, match="above the cap"):
+            direct_product(Graph(side, []), Graph(side, []))
 
     def test_commutes_up_to_coordinate_swap(self):
         rng = random.Random(21)

@@ -97,8 +97,22 @@ class TestFromEdgeList:
         for _ in range(20):
             g = random_graph(rng, rng.randint(1, 12), rng.random())
             for v in range(g.n):
-                assert tuple(iter_bits(g.adj_bits[v])) == g.adj[v]
+                assert g.adj[v] == tuple(sorted(u for e in g.edges if v in e for u in e if u != v))
             assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m
+
+    def test_build_memory_linear_in_n(self):
+        # no per-vertex structure may grow with n: one n-bit int per vertex
+        # would make the 4x longer path cost about 16x the memory
+        peaks = []
+        for n in (5000, 20000):
+            tracemalloc.start()
+            try:
+                path(n)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] < 6 * peaks[0]
 
     def test_equality_and_hash(self):
         a = from_edge_list(3, [(0, 1), (1, 2)])
@@ -299,6 +313,26 @@ class TestMetricsAgainstNetworkx:
         m = g.metrics()
         assert not nx.is_connected(h) and not m.connected
         assert all(math.isinf(e) for e in m.ecc) and len(m.ecc) == g.n
+
+
+class TestTraversalsAgainstNetworkx:
+    """Components and k-balls against networkx beyond the sizes enumerated above."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [random_graph(random.Random(12), 1000, 0.0015), path(2000)],
+        ids=["random-sparse-1000", "path-2000"],
+    )
+    def test_components_and_balls(self, g):
+        nx = pytest.importorskip("networkx")
+        h = TestMetricsAgainstNetworkx.to_networkx(nx, g)
+        comps = sorted(nx.connected_components(h), key=min)
+        assert g.components() == tuple(sum(1 << v for v in c) for c in comps)
+        for k in (1, 2, 3):
+            balls = g.balls(k)
+            for v in range(g.n):
+                near = nx.single_source_shortest_path_length(h, v, cutoff=k)
+                assert balls[v] == sum(1 << u for u in near)
 
 
 class TestShortestCycle:

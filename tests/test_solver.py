@@ -37,6 +37,9 @@ class TestIsKDominating:
     def test_disconnected_needs_vertex_per_component(self):
         g = from_edge_list(4, [(0, 1), (2, 3)])
         assert not is_k_dominating(g, {0}, 3)
+        # k >= n: the unreachable sentinel n must still count as too far
+        assert not is_k_dominating(g, {0}, 4)
+        assert not is_k_dominating(g, {0}, 10**6)
         assert is_k_dominating(g, {0, 2}, 1)
 
     def test_empty_set_fails_nonempty_graph(self):
