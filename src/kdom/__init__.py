@@ -54,7 +54,6 @@ from .solver import (
     gamma_k_exact,
     gamma_k_oracle,
     gamma_path_cycle,
-    greedy_upper,
     is_k_dominating,
     packing_lower,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "gamma_k_exact",
     "gamma_k_oracle",
     "gamma_path_cycle",
-    "greedy_upper",
     "is_k_dominating",
     "iter_bits",
     "lb_diameter",

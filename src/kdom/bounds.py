@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 from .constructions import direct_product
 from .errors import BudgetExceeded, DisconnectedInput, InfiniteDiameter, InfiniteRadius
 from .graph import Graph
-from .solver import Certificate, _check_k, gamma_k_exact, greedy_upper, packing_lower
+from .solver import Certificate, _check_k, gamma_k_exact, packing_lower
 
 
 def lb_diameter(diameter: float, k: int) -> int:
@@ -179,11 +179,10 @@ def bounds_report(g: Graph, k: int, **budget) -> BoundsReport:
         raw_d = raw_r = raw_g = None
         ubm = ubt = ubh = None
 
-    greedy = greedy_upper(g, k)
     exact = gamma_k_exact(g, k, **budget)
 
     best_lower = max((b for b in (lbd, lbr, lbg, lbp) if b is not None), default=1 if n else 0)
-    best_upper = min([b for b in (ubm, ubt, ubh) if b is not None] + [greedy.value])
+    best_upper = min([b for b in (ubm, ubt, ubh) if b is not None] + [exact.upper_bound_used])
     if exact.status == "Exact":
         verdict = "Consistent" if best_lower <= exact.value <= best_upper else "ViolationDetected"
     else:
@@ -209,7 +208,7 @@ def bounds_report(g: Graph, k: int, **budget) -> BoundsReport:
         ub_meir_moon=ubm,
         ub_tian_xu=ubt,
         ub_henning_lichiardopol=ubh,
-        ub_greedy=greedy.value,
+        ub_greedy=exact.upper_bound_used,
         best_lower=best_lower,
         best_upper=best_upper,
         exact=exact,

@@ -24,7 +24,7 @@ from .errors import (
     TooLarge,
 )
 from .graph import Graph
-from .io import MAX_VERTICES
+from .io import MAX_EDGES, MAX_VERTICES
 from .solver import Certificate, _check_k, gamma_k_exact
 
 # -- generators -------------------------------------------------------------
@@ -56,7 +56,8 @@ def clique_expanded_path(n_base: int, delta: int) -> Graph:
     completely to the neighboring positions. The result has
     ``2 + (n_base - 2) * delta`` vertices, diameter ``n_base - 1`` and
     minimum degree >= ``delta``; with ``delta = 1`` it is the plain path.
-    That order may not exceed ``MAX_VERTICES``.
+    That order may not exceed ``MAX_VERTICES``, nor the edge count
+    ``MAX_EDGES``.
     """
     if n_base < 3:
         raise InvalidOrder("clique-expanded path requires n_base >= 3")
@@ -66,6 +67,10 @@ def clique_expanded_path(n_base: int, delta: int) -> Graph:
     if order > MAX_VERTICES:
         raise InvalidOrder(
             f"clique-expanded path of {order} vertices is above the cap of {MAX_VERTICES}")
+    # the cliques, the joins between neighbouring cliques, and the two ends
+    size = (n_base - 2) * delta * (delta - 1) // 2 + (n_base - 3) * delta * delta + 2 * delta
+    if size > MAX_EDGES:
+        raise InvalidOrder(f"clique-expanded path of {size} edges is above the cap of {MAX_EDGES}")
     cells = [[0]]
     nxt = 1
     for _ in range(n_base - 2):
@@ -89,14 +94,16 @@ def direct_product(g: Graph, h: Graph) -> Graph:
     The product vertex (a, b), with a in G and b in H, has the flattened
     index a*n(H) + b. The result has exactly 2*m(G)*m(H) edges, and can be
     disconnected even when both factors are connected (two bipartite factors
-    always split it). An order above ``MAX_VERTICES`` raises
-    :class:`TooLarge` before any edge is built.
+    always split it). An order above ``MAX_VERTICES``, or more edges than
+    ``MAX_EDGES``, raises :class:`TooLarge` before any edge is built.
     """
     if g.n == 0 or h.n == 0:
         raise EmptyFactor("direct product requires non-empty factors")
     if g.n * h.n > MAX_VERTICES:
         raise TooLarge(
             f"direct product of {g.n * h.n} vertices is above the cap of {MAX_VERTICES}")
+    if 2 * g.m * h.m > MAX_EDGES:
+        raise TooLarge(f"direct product of {2 * g.m * h.m} edges is above the cap of {MAX_EDGES}")
     edges = []
     for g1, g2 in g.edges:
         for h1, h2 in h.edges:

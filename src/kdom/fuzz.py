@@ -165,6 +165,8 @@ def fuzz(
     budget_nodes: int = DEFAULT_BUDGET_NODES,
 ) -> FuzzReport:
     """Run the whole invariant suite over ``trials`` seeded random graphs."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     if n_range[0] < 1 or n_range[0] > n_range[1]:
         raise ValueError(f"bad n_range {n_range}")
     if n_range[1] > ORACLE_MAX_N:

@@ -1,10 +1,10 @@
 """Immutable simple graphs with BFS-based metric computations.
 
 Vertices are the integers 0..n-1. The adjacency relation is kept once, as
-sorted neighbor tuples, and every traversal is a BFS over them; vertex sets
-handed to the solver (k-balls, components) are int bitsets. Distances are
-plain hop counts; inside a BFS distance row "unreachable" is encoded as the
-sentinel value n (strictly larger than any realizable distance), while
+sorted neighbor tuples, and every traversal is a BFS over them; k-balls are
+int bitsets and components sorted vertex tuples. Distances are plain hop
+counts; inside a BFS distance row "unreachable" is encoded as the sentinel
+value n (strictly larger than any realizable distance), while
 reporting-level quantities (diameter, radius, girth, eccentricity) use
 ``math.inf`` so disconnected and acyclic cases read naturally.
 
@@ -55,7 +55,7 @@ class Graph:
         self.adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
         self._metrics: Metrics | None = None
         self._balls: dict[int, tuple[int, ...]] = {}
-        self._components: tuple[int, ...] | None = None
+        self._components: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def m(self) -> int:
@@ -143,8 +143,8 @@ class Graph:
             self._balls[k] = table
         return table
 
-    def components(self) -> tuple[int, ...]:
-        """Vertex bitsets of the connected components, ordered by lowest
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """The connected components as sorted vertex tuples, ordered by lowest
         member; computed once and cached."""
         if self._components is None:
             self._components = _components(self)
@@ -284,7 +284,7 @@ def _compute_metrics(g: Graph) -> Metrics:
     )
 
 
-def _components(g: Graph) -> tuple[int, ...]:
+def _components(g: Graph) -> tuple[tuple[int, ...], ...]:
     """One BFS per component, each from the lowest vertex not yet reached."""
     adj = g.adj
     seen = [False] * g.n
@@ -299,7 +299,7 @@ def _components(g: Graph) -> tuple[int, ...]:
                 if not seen[w]:
                     seen[w] = True
                     members.append(w)
-        comps.append(sum(1 << v for v in members))
+        comps.append(tuple(sorted(members)))
     return tuple(comps)
 
 

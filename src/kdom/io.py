@@ -14,6 +14,8 @@ from .errors import CountMismatch, IndexOutOfRange, ParseError
 from .graph import Graph, from_edge_list
 
 MAX_VERTICES = 1_000_000
+# generated graphs only: a parsed file's edges are bounded by its own text
+MAX_EDGES = 2 * MAX_VERTICES
 
 
 def parse_edge_list(text: str, strict: bool = True) -> Graph:

@@ -37,7 +37,9 @@ class Certificate:
     ``status`` is "Exact" when ``value`` equals the domination number and
     "UpperBoundOnly" when the search stopped at an incumbent. ``components``
     counts the connected components the instance was split into (1 for
-    connected inputs).
+    connected inputs). ``upper_bound_used`` is the value the search started
+    from; it is left out of :meth:`to_dict`, so the JSON schema is unchanged
+    (``kdom bounds`` reports it as ``upper_bounds.greedy``).
     """
 
     k: int
@@ -45,6 +47,7 @@ class Certificate:
     value: int
     status: str
     lower_bound_used: int
+    upper_bound_used: int
     nodes_explored: int
     method: str
     components: int = 1
@@ -95,7 +98,7 @@ def gamma_k_oracle(g: Graph, k: int) -> Certificate:
     if g.n > ORACLE_MAX_N:
         raise TooLarge(f"oracle capped at n <= {ORACLE_MAX_N}, got n = {g.n}")
     if g.n == 0:
-        return Certificate(k, 0, 0, "Exact", 0, 0, "Oracle")
+        return Certificate(k, 0, 0, "Exact", 0, 0, 0, "Oracle")
     balls = []
     reach = min(k, g.n - 1)  # the sentinel n means unreachable, never within k
     for v in range(g.n):
@@ -116,40 +119,29 @@ def gamma_k_oracle(g: Graph, k: int) -> Certificate:
                 # paranoia: confirm through the BFS-based check as well
                 if not is_k_dominating(g, combo, k):
                     raise AssertionError("ball cover disagrees with BFS check")
-                return Certificate(k, mask, size, "Exact", size, checked, "Oracle")
+                return Certificate(k, mask, size, "Exact", size, size, checked, "Oracle")
     raise AssertionError("V(G) itself must dominate")  # pragma: no cover
 
 
-def _greedy_cover(universe: int, balls: tuple[int, ...], vertices: Iterable[int]) -> int:
-    """Greedy set-cover over ``vertices``: take the largest fresh coverage,
-    ties to the lowest index, until ``universe`` is covered; returns the
-    chosen mask. Coverage only shrinks, so stale heap entries are upper
-    bounds (lazy greedy)."""
+def _greedy_cover(balls: tuple[int, ...], vertices: tuple[int, ...]) -> int:
+    """Greedy set-cover of one component's ``vertices``: take the largest fresh
+    coverage, ties to the lowest index, until all are covered (a ball never
+    leaves its component); returns the chosen mask. Coverage only shrinks, so
+    stale heap entries are upper bounds (lazy greedy)."""
     heap = [(-balls[v].bit_count(), v) for v in vertices]
     heapq.heapify(heap)
-    covered = 0
-    chosen = 0
-    while covered != universe:
+    left = len(vertices)
+    covered = chosen = 0
+    while left:
         stored, v = heapq.heappop(heap)
         gain = (balls[v] & ~covered).bit_count()
         if gain == -stored:
             covered |= balls[v]
             chosen |= 1 << v
+            left -= gain
         elif gain:
             heapq.heappush(heap, (-gain, v))
     return chosen
-
-
-def greedy_upper(g: Graph, k: int) -> Certificate:
-    """Largest-fresh-coverage greedy over the whole graph; an upper bound."""
-    _check_k(k)
-    if g.n == 0:
-        return Certificate(k, 0, 0, "Exact", 0, 0, "Greedy")
-    mask = _greedy_cover(g.full_mask(), g.balls(k), range(g.n))
-    value = mask.bit_count()
-    # The only bound available for free is the trivial gamma_k >= 1.
-    status = "Exact" if value == 1 else "UpperBoundOnly"
-    return Certificate(k, mask, value, status, 1, 0, "Greedy")
 
 
 def packing_lower(g: Graph, k: int) -> int:
@@ -204,8 +196,10 @@ def gamma_k_exact(
     component count recorded in the certificate.
 
     ``lower_bound_used`` sums the root packing bound of each component, whose
-    scan stops at the greedy value. ``nodes_explored`` counts the nodes below
-    the root, each charged to ``budget_nodes``; a negative budget acts like 0.
+    scan stops at the greedy value, and ``upper_bound_used`` sums those greedy
+    values, where the searches start; with ``budget_nodes=0`` the set is the
+    greedy cover. ``nodes_explored`` counts the nodes below the root, each
+    charged to ``budget_nodes``; a negative budget acts like 0.
     A search stops when it needs node ``budget_nodes + 1`` (so
     ``nodes_explored`` then equals ``budget_nodes``) or, checked once every
     2048 nodes, when ``budget_seconds`` have passed. Every component after
@@ -217,20 +211,21 @@ def gamma_k_exact(
     balls = g.balls(k)
     deadline = time.monotonic() + budget_seconds
     comps = g.components()
-    mask = lower = nodes = 0
+    mask = lower = upper = nodes = 0
     stopped = False
-    for universe in comps:
+    for vertices in comps:
         nodes_left = 0 if stopped else budget_nodes - nodes
-        chosen, used, root_lb, halted = _solve_component(universe, balls, nodes_left, deadline)
+        chosen, used, root_lb, greedy, halted = _solve_component(vertices, balls, nodes_left, deadline)
         mask |= chosen
         nodes += used
         lower += root_lb
+        upper += greedy
         stopped |= halted
     status = "UpperBoundOnly" if stopped else "Exact"
-    return Certificate(k, mask, mask.bit_count(), status, lower, nodes, "BranchAndBound", len(comps))
+    return Certificate(k, mask, mask.bit_count(), status, lower, upper, nodes, "BranchAndBound", len(comps))
 
 
-def _undominated(vertices: list[int], balls: tuple[int, ...]) -> int:
+def _undominated(vertices: tuple[int, ...], balls: tuple[int, ...]) -> int:
     """Mask of the vertices whose k-ball no other contains (of equal balls the
     lowest index stays); a ball containing ``balls[v]`` is centred in it."""
     keep = 0
@@ -244,13 +239,12 @@ def _undominated(vertices: list[int], balls: tuple[int, ...]) -> int:
     return keep
 
 
-def _solve_component(universe, balls, nodes_left, deadline):
+def _solve_component(vertices, balls, nodes_left, deadline):
     """Search one component with at most ``nodes_left`` nodes below the root;
-    returns (mask, nodes, root bound, whether the search stopped early).
+    returns (mask, nodes, root bound, greedy value, whether it stopped early).
 
     Vertices are relabelled 0..m-1 by ascending candidate count, so walking
     the bits of the uncovered mask visits them in the packing order."""
-    vertices = list(iter_bits(universe))
     cands = _undominated(vertices, balls)
     order = sorted(vertices, key=lambda w: ((balls[w] & cands).bit_count(), w))
     pos = {v: p for p, v in enumerate(order)}
@@ -262,8 +256,8 @@ def _solve_component(universe, balls, nodes_left, deadline):
     start = local(cands)
     reach = [b & start for b in ball]  # the candidates within distance k
     full = (1 << len(order)) - 1
-    best_set = local(_greedy_cover(universe, balls, vertices))
-    best = best_set.bit_count()
+    best_set = local(_greedy_cover(balls, vertices))
+    best = greedy = best_set.bit_count()
     root_lb = 1
     nodes = 0
     stopped = False
@@ -315,4 +309,4 @@ def _solve_component(universe, balls, nodes_left, deadline):
         if not size:
             root_lb = count
     mask = sum(1 << order[p] for p in iter_bits(best_set))
-    return mask, nodes, root_lb, stopped
+    return mask, nodes, root_lb, greedy, stopped

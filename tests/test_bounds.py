@@ -164,6 +164,18 @@ class TestBoundsReport:
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == "6db792b7c9fd13d449c308a0c8f409c7cc26d70ce3127daf0cc0b0d0ba430708"
 
+    def test_one_greedy_cover_per_component(self, monkeypatch):
+        # the exact solve's incumbent is the reported greedy bound, not a rerun
+        import kdom.solver
+
+        calls = []
+        greedy = kdom.solver._greedy_cover
+        monkeypatch.setattr(kdom.solver, "_greedy_cover", lambda *a: calls.append(a) or greedy(*a))
+        g = path(800)
+        reports = [bounds_report(g, k) for k in (1, 2, 3)]
+        assert len(calls) == 3
+        assert all(r.ub_greedy == r.exact.upper_bound_used for r in reports)
+
 
 class TestProductBoundCheck:
     def test_triangles(self):

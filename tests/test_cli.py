@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import kdom.io
+from conftest import complete
 from kdom import cycle, path, serialize_edge_list
 from kdom.cli import build_parser, main
 
@@ -182,6 +183,15 @@ class TestProductCommand:
         assert main([*command, "--in", str(a), "--in", str(a)]) == 2
         assert "above the cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["product"], ["construct", "--family", "product"]])
+    def test_edge_cap_exit_2(self, capsys, tmp_path, command):
+        k50 = complete(50)  # the product has 2500 vertices but 2 * 1225^2 edges
+        assert 2 * k50.m**2 > kdom.io.MAX_EDGES
+        a = tmp_path / "k50.txt"
+        a.write_text(serialize_edge_list(k50))
+        assert main([*command, "--in", str(a), "--in", str(a)]) == 2
+        assert "edges is above the cap" in capsys.readouterr().err
+
 
 class TestSpanningTreeCommand:
     def test_c6(self, capsys, tmp_path):
@@ -248,6 +258,12 @@ class TestConstructCommand:
         assert main(["construct", *argv]) == 2
         assert "above the cap" in capsys.readouterr().err
 
+    def test_edge_cap_exit_2(self, capsys):
+        # exactly MAX_VERTICES vertices, but one clique of MAX_VERTICES - 2
+        delta = str(kdom.io.MAX_VERTICES - 2)
+        assert main(["construct", "--family", "clique-expanded", "--n", "3", "--delta", delta]) == 2
+        assert "edges is above the cap" in capsys.readouterr().err
+
     @pytest.mark.parametrize("family", ["path", "cycle", "clique-expanded"])
     def test_missing_n_exit_2(self, capsys, family):
         assert main(["construct", "--family", family]) == 2
@@ -281,6 +297,10 @@ class TestFuzzCommand:
     def test_default_k_is_1_and_2(self, capsys):
         code, doc = run_json(capsys, "fuzz", "--trials", "1")
         assert code == 0 and doc["generator_params"]["k_set"] == [1, 2]
+
+    def test_negative_trials_exit_2(self, capsys):
+        assert main(["fuzz", "--trials", "-3"]) == 2
+        assert "trials must be >= 0" in capsys.readouterr().err
 
     def test_byte_identical_reports(self, capsys):
         outs = []

@@ -24,7 +24,8 @@ from kdom import (
     preserving_spanning_tree,
     project,
 )
-from kdom.io import MAX_VERTICES
+import kdom.constructions
+from kdom.io import MAX_EDGES, MAX_VERTICES
 
 
 def cycle_witness_gadget(k: int, rotation: int = 0, pendant: int = 0):
@@ -109,6 +110,21 @@ class TestCliqueExpandedPath:
         with pytest.raises(InvalidOrder, match="above the cap"):
             clique_expanded_path(3, MAX_VERTICES - 1)
 
+    def test_edge_cap(self, monkeypatch):
+        # d = isqrt(2 * MAX_EDGES) + 1 gives d(d - 1)/2 + 2d > MAX_EDGES edges
+        # on 2 + d vertices
+        with pytest.raises(InvalidOrder, match="edges is above the cap"):
+            clique_expanded_path(3, math.isqrt(2 * MAX_EDGES) + 1)
+        # the count checked is the count built
+        for n_base, delta in ((3, 1), (3, 4), (6, 2), (7, 5)):
+            m = clique_expanded_path(n_base, delta).m
+            monkeypatch.setattr(kdom.constructions, "MAX_EDGES", m)
+            clique_expanded_path(n_base, delta)
+            monkeypatch.setattr(kdom.constructions, "MAX_EDGES", m - 1)
+            with pytest.raises(InvalidOrder, match="edges is above the cap"):
+                clique_expanded_path(n_base, delta)
+            monkeypatch.undo()
+
 
 class TestDirectProduct:
     def test_k2_k2_is_disconnected_matching(self):
@@ -142,6 +158,18 @@ class TestDirectProduct:
         side = math.isqrt(MAX_VERTICES) + 1  # side * side >= MAX_VERTICES + 1
         with pytest.raises(TooLarge, match="above the cap"):
             direct_product(Graph(side, []), Graph(side, []))
+
+    def test_edge_cap(self, monkeypatch):
+        k50 = complete(50)  # 2500 product vertices, 2 * 1225^2 product edges
+        assert 2 * k50.m**2 > MAX_EDGES
+        with pytest.raises(TooLarge, match="edges is above the cap"):
+            direct_product(k50, k50)
+        a, b = petersen(), cycle(5)
+        monkeypatch.setattr(kdom.constructions, "MAX_EDGES", 2 * a.m * b.m)
+        assert direct_product(a, b).m == 2 * a.m * b.m
+        monkeypatch.setattr(kdom.constructions, "MAX_EDGES", 2 * a.m * b.m - 1)
+        with pytest.raises(TooLarge, match="edges is above the cap"):
+            direct_product(a, b)
 
     def test_commutes_up_to_coordinate_swap(self):
         rng = random.Random(21)

@@ -76,6 +76,8 @@ class TestFuzz:
             fuzz(seed=1, trials=1, p_range=(0.9, 0.1))
         with pytest.raises(ValueError):
             fuzz(seed=1, trials=1, k_set=(0,))
+        with pytest.raises(ValueError):
+            fuzz(seed=1, trials=-1)
 
     def test_skip_reasons_counted(self):
         report = fuzz(seed=7, trials=15, n_range=(4, 10), k_set=(1,))

@@ -261,10 +261,21 @@ class TestMetrics:
 
     def test_components_ordered_and_cached(self):
         g = from_edge_list(6, [(3, 4), (0, 2), (4, 5)])
-        assert g.components() == (0b101, 0b10, 0b111000)
+        assert g.components() == ((0, 2), (1,), (3, 4, 5))
         assert g.components() is g.components()
         assert not g.is_connected()
         assert Graph(0, []).components() == () and Graph(0, []).is_connected()
+
+    def test_components_memory_linear_in_n(self):
+        # one n-bit mask per isolated vertex would take about n^2/16 bytes
+        g = Graph(40000, [])
+        tracemalloc.start()
+        try:
+            g.components()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_is_connected_matches_metrics(self):
         rng = random.Random(13)
@@ -327,7 +338,7 @@ class TestTraversalsAgainstNetworkx:
         nx = pytest.importorskip("networkx")
         h = TestMetricsAgainstNetworkx.to_networkx(nx, g)
         comps = sorted(nx.connected_components(h), key=min)
-        assert g.components() == tuple(sum(1 << v for v in c) for c in comps)
+        assert g.components() == tuple(tuple(sorted(c)) for c in comps)
         for k in (1, 2, 3):
             balls = g.balls(k)
             for v in range(g.n):

@@ -16,7 +16,6 @@ from kdom import (
     gamma_k_exact,
     gamma_k_oracle,
     gamma_path_cycle,
-    greedy_upper,
     is_k_dominating,
     packing_lower,
     path,
@@ -99,27 +98,30 @@ class TestOracle:
 
 
 class TestGreedyUpper:
+    """With no nodes to search, ``gamma_k_exact`` returns the greedy cover,
+    whose size is ``upper_bound_used``."""
+
     def test_path_center(self):
-        cert = greedy_upper(path(5), 2)
-        assert cert.value == 1 and cert.vertices == (2,)
+        cert = gamma_k_exact(path(5), 2, budget_nodes=0)
+        assert cert.upper_bound_used == 1 and cert.vertices == (2,)
         assert cert.status == "Exact"  # value 1 matches the trivial bound
 
     def test_cycle_10(self):
         # frozen: independent enumeration gives gamma_2(C10) = 2
-        assert greedy_upper(cycle(10), 2).value == 2
+        assert gamma_k_exact(cycle(10), 2, budget_nodes=0).upper_bound_used == 2
 
     def test_star_center(self):
-        cert = greedy_upper(star(9), 1)
-        assert cert.value == 1 and cert.vertices == (0,)
+        cert = gamma_k_exact(star(9), 1, budget_nodes=0)
+        assert cert.upper_bound_used == 1 and cert.vertices == (0,)
 
     def test_never_below_optimum(self):
         rng = random.Random(4)
         for _ in range(20):
             g = random_connected(rng, rng.randint(1, 10), rng.random())
             k = rng.randint(1, 3)
-            cert = greedy_upper(g, k)
+            cert = gamma_k_exact(g, k, budget_nodes=0)
             assert is_k_dominating(g, cert.vertices, k)
-            assert cert.value >= gamma_k_oracle(g, k).value
+            assert cert.upper_bound_used == cert.value >= gamma_k_oracle(g, k).value
 
 
 class TestPackingLower:
@@ -161,7 +163,7 @@ class TestPackingLower:
             g = random_connected(rng, rng.randint(1, 10), rng.random())
             k = rng.randint(1, 3)
             gamma = gamma_k_oracle(g, k).value
-            assert packing_lower(g, k) <= gamma <= greedy_upper(g, k).value
+            assert packing_lower(g, k) <= gamma <= gamma_k_exact(g, k).upper_bound_used
 
 
 class TestGammaPathCycle:
@@ -312,7 +314,7 @@ class TestGammaKExact:
         cert = gamma_k_exact(g, 1, budget_nodes=20_000)
         assert cert.status in ("Exact", "UpperBoundOnly")
         assert is_k_dominating(g, cert.vertices, 1)
-        assert cert.lower_bound_used <= cert.value <= greedy_upper(g, 1).value
+        assert cert.lower_bound_used <= cert.value <= cert.upper_bound_used
         if cert.status == "Exact":
             assert cert.value == 1121  # agrees with the HiGHS optimum
 
