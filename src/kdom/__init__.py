@@ -47,7 +47,7 @@ from .errors import (
     TooLarge,
 )
 from .fuzz import FuzzReport, fuzz, random_connected_graph
-from .graph import INF, Graph, Metrics, from_edge_list, iter_bits
+from .graph import INF, Graph, Metrics, from_edge_list
 from .io import parse_edge_list, serialize_edge_list
 from .solver import (
     Certificate,
@@ -94,7 +94,6 @@ __all__ = [
     "gamma_k_oracle",
     "gamma_path_cycle",
     "is_k_dominating",
-    "iter_bits",
     "lb_diameter",
     "lb_girth",
     "lb_radius",

@@ -7,7 +7,7 @@ text from --in (or stdin). A handler returns its result and exit code, and
 adds the "command", "schema" and "timing" keys, or for `construct` edge-list
 text that can feed straight back into the other commands. Wall-clock time
 lives under the "timing" key only, keeping the rest of the document
-byte-reproducible.
+byte-reproducible. Warnings, like errors, go to stderr as ``kdom: <message>``.
 
 Exit codes: 0 success; 1 fuzz found an invariant violation; 2 malformed
 input or an option the command does not take; 3 a search budget ran out
@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -250,7 +251,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        output, code = args.func(args)
+        with warnings.catch_warnings():  # each warning becomes one "kdom: ..." line
+            warnings.simplefilter("always")
+            warnings.showwarning = lambda message, *_: print(f"kdom: {message}", file=sys.stderr)
+            output, code = args.func(args)
         if isinstance(output, dict):  # every command but construct
             output["command"] = args.command
             output["schema"] = "kdom/1"

@@ -23,7 +23,6 @@ load, breaking reproducibility.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 
@@ -151,9 +150,6 @@ class FuzzReport:
             "failures": self.failures,
             "skipped": self.skipped,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def fuzz(

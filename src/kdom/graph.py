@@ -1,8 +1,9 @@
 """Immutable simple graphs with BFS-based metric computations.
 
 Vertices are the integers 0..n-1. The adjacency relation is kept once, as
-sorted neighbor tuples, and every traversal is a BFS over them; k-balls are
-int bitsets and components sorted vertex tuples. Distances are plain hop
+sorted neighbor tuples, and every traversal is a BFS over them. Components
+are sorted vertex tuples; the k-ball tables are the only bitsets, one int
+per vertex with bit u set for each u in the ball. Distances are plain hop
 counts; inside a BFS distance row "unreachable" is encoded as the sentinel
 value n (strictly larger than any realizable distance), while
 reporting-level quantities (diameter, radius, girth, eccentricity) use
@@ -19,19 +20,11 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import IndexOutOfRange, SimplenessViolation
 
 INF = math.inf
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the indices of the set bits of ``mask`` in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class Graph:
@@ -75,10 +68,6 @@ class Graph:
         self._check_vertex(u)
         self._check_vertex(v)
         return (min(u, v), max(u, v)) in self.edges
-
-    def full_mask(self) -> int:
-        """Bitset containing every vertex."""
-        return (1 << self.n) - 1
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -157,12 +146,12 @@ class Graph:
     def metrics(self) -> Metrics:
         """Eccentricities, diameter, radius and girth, computed once and cached.
 
-        One BFS decides connectivity; a disconnected graph needs no more.
-        Eccentricities of a connected graph come from BFS sweeps whose bounds
-        settle many vertices at once (a handful of BFS on paths, grids and
-        clique-expanded paths, n on a cycle). The girth comes from BFS scans
-        of the 2-core cut at the best length found, each root deleted after
-        its scan. Memory is O(n).
+        Connectivity comes from the cached :meth:`components`; a disconnected
+        graph needs no BFS. Eccentricities of a connected graph come from BFS
+        sweeps whose bounds settle many vertices at once (a handful of BFS on
+        paths, grids and clique-expanded paths, n on a cycle). The girth comes
+        from BFS scans of the 2-core cut at the best length found, each root
+        deleted after its scan. Memory is O(n).
         """
         if self._metrics is None:
             self._metrics = _compute_metrics(self)
@@ -265,11 +254,9 @@ def _compute_metrics(g: Graph) -> Metrics:
     n = g.n
     if n == 0:
         return Metrics(ecc=(), diameter=0, radius=0, girth=INF, connected=True)
-    # the connectivity BFS from vertex 0 doubles as the first eccentricity sweep
-    first = g.bfs_distances(0)
-    connected = max(first) < n  # sentinel: vertex 0 cannot reach everything
+    connected = g.is_connected()
     if connected:
-        ecc: tuple[float, ...] = tuple(_eccentricities(g, first))
+        ecc: tuple[float, ...] = tuple(_eccentricities(g, g.bfs_distances(0)))
         diameter, radius = max(ecc), min(ecc)
     else:
         ecc = (INF,) * n

@@ -20,10 +20,10 @@ import heapq
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import DisconnectedInput, InvalidOrder, TooLarge
-from .graph import Graph, iter_bits
+from .graph import Graph
 
 DEFAULT_BUDGET_NODES = 10_000_000
 DEFAULT_BUDGET_SECONDS = 30.0
@@ -34,8 +34,9 @@ ORACLE_MAX_N = 16
 class Certificate:
     """A k-dominating set together with evidence for its optimality status.
 
-    ``status`` is "Exact" when ``value`` equals the domination number and
-    "UpperBoundOnly" when the search stopped at an incumbent. ``components``
+    The set is ``vertices``, ascending and distinct, and ``value`` is its
+    size. ``status`` is "Exact" when ``value`` equals the domination number
+    and "UpperBoundOnly" when the search stopped at an incumbent. ``components``
     counts the connected components the instance was split into (1 for
     connected inputs). ``upper_bound_used`` is the value the search started
     from; it is left out of :meth:`to_dict`, so the JSON schema is unchanged
@@ -43,8 +44,7 @@ class Certificate:
     """
 
     k: int
-    mask: int
-    value: int
+    vertices: tuple[int, ...]
     status: str
     lower_bound_used: int
     upper_bound_used: int
@@ -53,8 +53,8 @@ class Certificate:
     components: int = 1
 
     @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(iter_bits(self.mask))
+    def value(self) -> int:
+        return len(self.vertices)
 
     def to_dict(self) -> dict:
         return {
@@ -67,6 +67,14 @@ class Certificate:
             "method": self.method,
             "components": self.components,
         }
+
+
+def _iter_bits(mask: int) -> Iterator[int]:
+    """Yield the indices of the set bits of ``mask`` in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _check_k(k: int) -> None:
@@ -98,13 +106,13 @@ def gamma_k_oracle(g: Graph, k: int) -> Certificate:
     if g.n > ORACLE_MAX_N:
         raise TooLarge(f"oracle capped at n <= {ORACLE_MAX_N}, got n = {g.n}")
     if g.n == 0:
-        return Certificate(k, 0, 0, "Exact", 0, 0, 0, "Oracle")
+        return Certificate(k, (), "Exact", 0, 0, 0, "Oracle")
     balls = []
     reach = min(k, g.n - 1)  # the sentinel n means unreachable, never within k
     for v in range(g.n):
         row = g.bfs_distances(v)
         balls.append(sum(1 << u for u in range(g.n) if row[u] <= reach))
-    full = g.full_mask()
+    full = (1 << g.n) - 1
     checked = 0
     for size in range(1, g.n + 1):
         for combo in combinations(range(g.n), size):
@@ -113,31 +121,30 @@ def gamma_k_oracle(g: Graph, k: int) -> Certificate:
             for v in combo:
                 covered |= balls[v]
             if covered == full:
-                mask = 0
-                for v in combo:
-                    mask |= 1 << v
                 # paranoia: confirm through the BFS-based check as well
                 if not is_k_dominating(g, combo, k):
                     raise AssertionError("ball cover disagrees with BFS check")
-                return Certificate(k, mask, size, "Exact", size, size, checked, "Oracle")
+                return Certificate(k, combo, "Exact", size, size, checked, "Oracle")
     raise AssertionError("V(G) itself must dominate")  # pragma: no cover
 
 
-def _greedy_cover(balls: tuple[int, ...], vertices: tuple[int, ...]) -> int:
+def _greedy_cover(balls: tuple[int, ...], vertices: tuple[int, ...]) -> list[int]:
     """Greedy set-cover of one component's ``vertices``: take the largest fresh
     coverage, ties to the lowest index, until all are covered (a ball never
-    leaves its component); returns the chosen mask. Coverage only shrinks, so
-    stale heap entries are upper bounds (lazy greedy)."""
+    leaves its component); returns the chosen vertices in the order taken.
+    Coverage only shrinks, so stale heap entries are upper bounds (lazy
+    greedy)."""
     heap = [(-balls[v].bit_count(), v) for v in vertices]
     heapq.heapify(heap)
     left = len(vertices)
-    covered = chosen = 0
+    covered = 0
+    chosen = []
     while left:
         stored, v = heapq.heappop(heap)
         gain = (balls[v] & ~covered).bit_count()
         if gain == -stored:
             covered |= balls[v]
-            chosen |= 1 << v
+            chosen.append(v)
             left -= gain
         elif gain:
             heapq.heappush(heap, (-gain, v))
@@ -211,18 +218,19 @@ def gamma_k_exact(
     balls = g.balls(k)
     deadline = time.monotonic() + budget_seconds
     comps = g.components()
-    mask = lower = upper = nodes = 0
+    chosen: list[int] = []
+    lower = upper = nodes = 0
     stopped = False
     for vertices in comps:
         nodes_left = 0 if stopped else budget_nodes - nodes
-        chosen, used, root_lb, greedy, halted = _solve_component(vertices, balls, nodes_left, deadline)
-        mask |= chosen
+        picked, used, root_lb, greedy, halted = _solve_component(vertices, balls, nodes_left, deadline)
+        chosen += picked
         nodes += used
         lower += root_lb
         upper += greedy
         stopped |= halted
     status = "UpperBoundOnly" if stopped else "Exact"
-    return Certificate(k, mask, mask.bit_count(), status, lower, upper, nodes, "BranchAndBound", len(comps))
+    return Certificate(k, tuple(sorted(chosen)), status, lower, upper, nodes, "BranchAndBound", len(comps))
 
 
 def _undominated(vertices: tuple[int, ...], balls: tuple[int, ...]) -> int:
@@ -231,7 +239,7 @@ def _undominated(vertices: tuple[int, ...], balls: tuple[int, ...]) -> int:
     keep = 0
     for v in vertices:
         bv = balls[v]
-        for u in iter_bits(bv):
+        for u in _iter_bits(bv):
             if bv & balls[u] == bv and u != v and (balls[u] != bv or u < v):
                 break
         else:
@@ -241,7 +249,8 @@ def _undominated(vertices: tuple[int, ...], balls: tuple[int, ...]) -> int:
 
 def _solve_component(vertices, balls, nodes_left, deadline):
     """Search one component with at most ``nodes_left`` nodes below the root;
-    returns (mask, nodes, root bound, greedy value, whether it stopped early).
+    returns (chosen vertices, nodes, root bound, greedy value, whether it
+    stopped early).
 
     Vertices are relabelled 0..m-1 by ascending candidate count, so walking
     the bits of the uncovered mask visits them in the packing order."""
@@ -250,14 +259,15 @@ def _solve_component(vertices, balls, nodes_left, deadline):
     pos = {v: p for p, v in enumerate(order)}
 
     def local(mask: int) -> int:
-        return sum(1 << pos[v] for v in iter_bits(mask))
+        return sum(1 << pos[v] for v in _iter_bits(mask))
 
     ball = [local(balls[v]) for v in order]
     start = local(cands)
     reach = [b & start for b in ball]  # the candidates within distance k
     full = (1 << len(order)) - 1
-    best_set = local(_greedy_cover(balls, vertices))
-    best = greedy = best_set.bit_count()
+    picked = _greedy_cover(balls, vertices)
+    best_set = sum(1 << pos[v] for v in picked)
+    best = greedy = len(picked)
     root_lb = 1
     nodes = 0
     stopped = False
@@ -297,16 +307,15 @@ def _solve_component(vertices, balls, nodes_left, deadline):
                 fewest, branch = c, a
         else:
             if forced:
-                for p in iter_bits(forced):
+                for p in _iter_bits(forced):
                     covered |= ball[p]
                 stack.append((covered, allowed, size + forced.bit_count(), chosen | forced))
             else:
                 kids = []
-                for p in sorted(iter_bits(branch), key=lambda p: (-(ball[p] & uncovered).bit_count(), order[p])):
+                for p in sorted(_iter_bits(branch), key=lambda p: (-(ball[p] & uncovered).bit_count(), order[p])):
                     kids.append((covered | ball[p], allowed, size + 1, chosen | 1 << p))
                     allowed ^= 1 << p
                 stack.extend(reversed(kids))
         if not size:
             root_lb = count
-    mask = sum(1 << order[p] for p in iter_bits(best_set))
-    return mask, nodes, root_lb, greedy, stopped
+    return [order[p] for p in _iter_bits(best_set)], nodes, root_lb, greedy, stopped

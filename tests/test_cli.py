@@ -125,9 +125,11 @@ class TestGammaCommand:
         p = tmp_path / "dup.txt"
         p.write_text("3 3\n0 1\n1 0\n1 2\n")
         assert main(["gamma", "--in", str(p)]) == 2  # strict by default
-        with pytest.warns(UserWarning):
-            code, doc = run_json(capsys, "gamma", "--in", str(p), "--no-strict")
-        assert code == 0 and doc["gamma_k"] == 1
+        capsys.readouterr()
+        code = main(["gamma", "--in", str(p), "--no-strict"])
+        out, err = capsys.readouterr()
+        assert err == "kdom: dropped 0 self-loop(s) and 1 duplicate edge(s)\n"
+        assert code == 0 and json.loads(out)["gamma_k"] == 1
 
 
 class TestMetricsCommand:

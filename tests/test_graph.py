@@ -14,7 +14,6 @@ from kdom import (
     clique_expanded_path,
     cycle,
     from_edge_list,
-    iter_bits,
     path,
 )
 
@@ -161,7 +160,7 @@ class TestClosedKNeighborhood:
             assert g.closed_k_neighborhood(v, 0) == 1 << v
 
     def test_cycle_window(self):
-        assert set(iter_bits(cycle(6).closed_k_neighborhood(0, 2))) == {0, 1, 2, 4, 5}
+        assert cycle(6).closed_k_neighborhood(0, 2) == 0b110111  # {0, 1, 2, 4, 5}
 
     def test_path_center_covers_all(self):
         assert path(5).closed_k_neighborhood(2, 2) == (1 << 5) - 1

@@ -93,6 +93,8 @@ class TestOracle:
             g = random_connected(rng, rng.randint(1, 9), rng.random())
             cert = gamma_k_oracle(g, rng.randint(1, 3))
             assert cert.status == "Exact"
+            assert list(cert.vertices) == sorted(set(cert.vertices))
+            assert cert.value == len(cert.vertices)
             assert is_k_dominating(g, cert.vertices, cert.k)
             assert cert.lower_bound_used <= cert.value
 
@@ -204,6 +206,8 @@ class TestGammaKExact:
             k = rng.randint(1, 3)
             cert = gamma_k_exact(g, k)
             assert cert.status == "Exact"
+            assert list(cert.vertices) == sorted(set(cert.vertices))
+            assert cert.value == len(cert.vertices)
             assert cert.value == gamma_k_oracle(g, k).value
             assert is_k_dominating(g, cert.vertices, k)
 
@@ -213,7 +217,7 @@ class TestGammaKExact:
             g = random_connected(rng, rng.randint(2, 11), rng.random())
             a = gamma_k_exact(g, 1)
             b = gamma_k_exact(Graph(g.n, g.edges), 1)
-            assert (a.value, a.mask) == (b.value, b.mask)
+            assert (a.value, a.vertices) == (b.value, b.vertices)
 
     def test_disconnected_sums_components(self):
         g = from_edge_list(9, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 8)])
@@ -222,9 +226,17 @@ class TestGammaKExact:
         assert cert.value == 1 + 1 + 2
         assert is_k_dominating(g, cert.vertices, 1)
 
+    def test_disconnected_certificate_golden(self):
+        g = from_edge_list(9, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 8)])
+        assert gamma_k_exact(g, 1).to_dict() == {
+            "k": 1, "gamma_k": 4, "set": [1, 3, 6, 7], "status": "Exact", "lower_bound_used": 4,
+            "nodes_explored": 0, "method": "BranchAndBound", "components": 3,
+        }
+
     def test_empty_graph(self):
         cert = gamma_k_exact(Graph(0, []), 1)
         assert cert.value == 0 and cert.status == "Exact"
+        assert cert.vertices == ()
 
     def test_budget_exhaustion_keeps_valid_incumbent(self):
         # C4 with k=1 launches a real search (greedy 2 > root bound 1)
@@ -250,7 +262,7 @@ class TestGammaKExact:
         g = Graph(64, [*first.edges, (60, 61), (61, 62), (62, 63), (63, 60)])
         cert = gamma_k_exact(g, 1, budget_nodes=100)
         assert cert.status == "UpperBoundOnly" and cert.nodes_explored == 100
-        assert (cert.mask >> 60).bit_count() == 2
+        assert sum(v >= 60 for v in cert.vertices) == 2
         assert is_k_dominating(g, cert.vertices, 1)
 
     def test_negative_budget_acts_like_zero(self):
