@@ -251,8 +251,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        with warnings.catch_warnings():  # each warning becomes one "kdom: ..." line
-            warnings.simplefilter("always")
+        with warnings.catch_warnings():  # each library warning becomes one "kdom: ..." line
+            warnings.simplefilter("always", UserWarning)
             warnings.showwarning = lambda message, *_: print(f"kdom: {message}", file=sys.stderr)
             output, code = args.func(args)
         if isinstance(output, dict):  # every command but construct

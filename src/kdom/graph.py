@@ -146,12 +146,12 @@ class Graph:
     def metrics(self) -> Metrics:
         """Eccentricities, diameter, radius and girth, computed once and cached.
 
-        Connectivity comes from the cached :meth:`components`; a disconnected
-        graph needs no BFS. Eccentricities of a connected graph come from BFS
-        sweeps whose bounds settle many vertices at once (a handful of BFS on
-        paths, grids and clique-expanded paths, n on a cycle). The girth comes
-        from BFS scans of the 2-core cut at the best length found, each root
-        deleted after its scan. Memory is O(n).
+        One BFS decides connectivity; a disconnected graph needs no more.
+        Eccentricities of a connected graph come from BFS sweeps whose bounds
+        settle many vertices at once (a handful of BFS on paths, grids and
+        clique-expanded paths, n on a cycle). The girth comes from BFS scans
+        of the 2-core cut at the best length found, each root deleted after
+        its scan. Memory is O(n).
         """
         if self._metrics is None:
             self._metrics = _compute_metrics(self)
@@ -254,9 +254,11 @@ def _compute_metrics(g: Graph) -> Metrics:
     n = g.n
     if n == 0:
         return Metrics(ecc=(), diameter=0, radius=0, girth=INF, connected=True)
-    connected = g.is_connected()
+    # the connectivity BFS from vertex 0 doubles as the first eccentricity sweep
+    first = g.bfs_distances(0)
+    connected = max(first) < n  # sentinel: vertex 0 cannot reach everything
     if connected:
-        ecc: tuple[float, ...] = tuple(_eccentricities(g, g.bfs_distances(0)))
+        ecc: tuple[float, ...] = tuple(_eccentricities(g, first))
         diameter, radius = max(ecc), min(ecc)
     else:
         ecc = (INF,) * n

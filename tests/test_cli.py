@@ -1,11 +1,14 @@
 import argparse
+import io
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
+import kdom.cli
 import kdom.io
 from conftest import complete
 from kdom import cycle, path, serialize_edge_list
@@ -130,6 +133,21 @@ class TestGammaCommand:
         out, err = capsys.readouterr()
         assert err == "kdom: dropped 0 self-loop(s) and 1 duplicate edge(s)\n"
         assert code == 0 and json.loads(out)["gamma_k"] == 1
+
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    def test_other_warnings_keep_outer_filters(self, capsys, monkeypatch):
+        # main reformats UserWarning only; a leaked handle inside a command
+        # must still fail under an outer error filter, not print "kdom: ..."
+        read = kdom.cli._read_graphs
+
+        def leaky(args, expected):
+            warnings.warn("unclosed file", ResourceWarning)
+            return read(args, expected)
+
+        monkeypatch.setattr(kdom.cli, "_read_graphs", leaky)
+        monkeypatch.setattr("sys.stdin", io.StringIO("2 1\n0 1\n"))
+        assert main(["metrics"]) == 4
+        assert capsys.readouterr().err == "kdom: internal error: ResourceWarning: unclosed file\n"
 
 
 class TestMetricsCommand:

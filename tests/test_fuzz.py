@@ -56,8 +56,7 @@ class TestFuzz:
     def test_reproducible(self):
         a = fuzz(seed=123, trials=8, n_range=(4, 9), k_set=(1,))
         b = fuzz(seed=123, trials=8, n_range=(4, 9), k_set=(1,))
-        assert (json.dumps(a.to_dict(), sort_keys=True, indent=2)
-                == json.dumps(b.to_dict(), sort_keys=True, indent=2))
+        assert a.to_dict() == b.to_dict()
 
     def test_report_bytes_pinned(self):
         # SHA-256 of the report as first produced; any change to the draw
@@ -69,8 +68,7 @@ class TestFuzz:
     def test_seed_changes_output(self):
         a = fuzz(seed=1, trials=5, n_range=(4, 9), k_set=(1,))
         b = fuzz(seed=2, trials=5, n_range=(4, 9), k_set=(1,))
-        assert (json.dumps(a.to_dict(), sort_keys=True, indent=2)
-                != json.dumps(b.to_dict(), sort_keys=True, indent=2))
+        assert a.to_dict() != b.to_dict()
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
