@@ -4,7 +4,7 @@ Lower bounds for connected graphs: ceil((diam+1)/(2k+1)), ceil(2*rad/(2k+1)),
 and ceil(girth/(2k+1)) when the graph has a cycle, plus the packing bound.
 Upper bounds: n/(k+1) for connected graphs of order >= k+1, the sharper
 (n - maxdeg + k - 1)/k, and (n + mindeg - maxdeg)/(mindeg + k - 1) for k >= 2
-and mindeg >= 2, plus the greedy cover value. Since the domination number is
+and mindeg >= 2, plus the size of the exact solve's starting cover. Since the domination number is
 an integer, lower bounds are reported ceiled and upper bounds floored; the
 raw fractional values are kept alongside. An inapplicable bound is None, not
 an error, so reports aggregate uniformly.

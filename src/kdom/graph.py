@@ -10,8 +10,9 @@ reporting-level quantities (diameter, radius, girth, eccentricity) use
 ``math.inf`` so disconnected and acyclic cases read naturally.
 
 Eccentricities come from a few bounded BFS sweeps rather than one BFS per
-vertex, and the girth from a scan of the 2-core that deletes each root after
-its BFS; see :meth:`Graph.metrics`.
+vertex (none beyond the connectivity BFS on a cycle), and the girth from a
+scan of the 2-core that deletes each root after its BFS; see
+:meth:`Graph.metrics`.
 """
 
 from __future__ import annotations
@@ -146,10 +147,12 @@ class Graph:
     def metrics(self) -> Metrics:
         """Eccentricities, diameter, radius and girth, computed once and cached.
 
-        One BFS decides connectivity; a disconnected graph needs no more.
-        Eccentricities of a connected graph come from BFS sweeps whose bounds
-        settle many vertices at once (a handful of BFS on paths, grids and
-        clique-expanded paths, n on a cycle). The girth comes from BFS scans
+        One BFS decides connectivity; a disconnected graph needs no more, and
+        neither does a cycle (connected with every degree 2), whose
+        eccentricities are all floor(n/2). Other connected graphs get their
+        eccentricities from BFS sweeps whose bounds settle many vertices at
+        once (a handful of BFS on paths, grids and clique-expanded paths, up
+        to n on other vertex-transitive graphs). The girth comes from BFS scans
         of the 2-core cut at the best length found, each root deleted after
         its scan. Memory is O(n).
         """
@@ -222,6 +225,12 @@ def from_edge_list(n: int, pairs: Iterable[tuple[int, int]], strict: bool = Fals
     raises :class:`SimplenessViolation`; otherwise they are dropped and a
     single warning reports how many were discarded.
     """
+    return _from_pairs(n, pairs, strict)
+
+
+def _from_pairs(n: int, pairs: Iterable[tuple[int, int]], strict: bool) -> Graph:
+    """:func:`from_edge_list` for a public caller one frame up: the warning
+    names the line that called that caller."""
     if n < 0:
         raise ValueError("vertex count must be >= 0")
     seen: set[tuple[int, int]] = set()
@@ -245,7 +254,7 @@ def from_edge_list(n: int, pairs: Iterable[tuple[int, int]], strict: bool = Fals
     if loops or dupes:
         warnings.warn(
             f"dropped {loops} self-loop(s) and {dupes} duplicate edge(s)",
-            stacklevel=2,
+            stacklevel=3,
         )
     return Graph(n, seen)
 
@@ -257,8 +266,11 @@ def _compute_metrics(g: Graph) -> Metrics:
     # the connectivity BFS from vertex 0 doubles as the first eccentricity sweep
     first = g.bfs_distances(0)
     connected = max(first) < n  # sentinel: vertex 0 cannot reach everything
-    if connected:
-        ecc: tuple[float, ...] = tuple(_eccentricities(g, first))
+    if connected and all(len(a) == 2 for a in g.adj):
+        ecc: tuple[float, ...] = (n // 2,) * n  # a connected 2-regular graph is a cycle
+        diameter = radius = n // 2
+    elif connected:
+        ecc = tuple(_eccentricities(g, first))
         diameter, radius = max(ecc), min(ecc)
     else:
         ecc = (INF,) * n
@@ -302,7 +314,9 @@ def _eccentricities(g: Graph, dist: list[int]) -> list[int]:
     and s itself always is. The next source alternates between the unsettled
     vertex with the smallest lower bound and the one with the largest upper
     bound, ties to the lowest index. Paths and clique-expanded paths settle
-    after a handful of BFS; on a cycle each BFS settles only its source.
+    after a handful of BFS; where all eccentricities are equal (as on any
+    vertex-transitive graph) each BFS settles only its source, which is why
+    :func:`_compute_metrics` answers cycles without calling this.
     """
     n = g.n
     ecc = [0] * n

@@ -11,7 +11,7 @@ embed in golden files and failure reports.
 from __future__ import annotations
 
 from .errors import CountMismatch, IndexOutOfRange, ParseError
-from .graph import Graph, from_edge_list
+from .graph import Graph, _from_pairs
 
 MAX_VERTICES = 1_000_000
 # generated graphs only: a parsed file's edges are bounded by its own text
@@ -54,7 +54,7 @@ def parse_edge_list(text: str, strict: bool = True) -> Graph:
         raise ParseError("missing 'n m' header", None)
     if len(pairs) != m:
         raise CountMismatch(f"header declares {m} edges but found {len(pairs)}", None)
-    return from_edge_list(n, pairs, strict=strict)
+    return _from_pairs(n, pairs, strict)
 
 
 def serialize_edge_list(g: Graph) -> str:

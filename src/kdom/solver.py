@@ -39,8 +39,9 @@ class Certificate:
     and "UpperBoundOnly" when the search stopped at an incumbent. ``components``
     counts the connected components the instance was split into (1 for
     connected inputs). ``upper_bound_used`` is the value the search started
-    from; it is left out of :meth:`to_dict`, so the JSON schema is unchanged
-    (``kdom bounds`` reports it as ``upper_bounds.greedy``).
+    from, the smaller of two greedy covers (see :func:`gamma_k_exact`); it is
+    left out of :meth:`to_dict`, so the JSON schema is unchanged (``kdom
+    bounds`` reports it as ``upper_bounds.greedy``).
     """
 
     k: int
@@ -202,15 +203,20 @@ def gamma_k_exact(
     Disconnected inputs are solved per component and summed, with the
     component count recorded in the certificate.
 
+    Each component's search starts from the smaller of two covers: the
+    greedy set cover (largest fresh coverage first) and the search's own
+    first descent with no bounding; on a tie the greedy set stays. The
+    descent is only computed when the root packing bound falls short of the
+    greedy value, since otherwise it cannot be smaller.
     ``lower_bound_used`` sums the root packing bound of each component, whose
-    scan stops at the greedy value, and ``upper_bound_used`` sums those greedy
-    values, where the searches start; with ``budget_nodes=0`` the set is the
-    greedy cover. ``nodes_explored`` counts the nodes below the root, each
+    scan stops at the starting value, and ``upper_bound_used`` sums those
+    starting values; with ``budget_nodes=0`` the set is the starting cover.
+    ``nodes_explored`` counts the nodes below the root, each
     charged to ``budget_nodes``; a negative budget acts like 0.
     A search stops when it needs node ``budget_nodes + 1`` (so
     ``nodes_explored`` then equals ``budget_nodes``) or, checked once every
     2048 nodes, when ``budget_seconds`` have passed. Every component after
-    the one that stopped gets no nodes and keeps its greedy cover. Status is
+    the one that stopped gets no nodes and keeps its starting cover. Status is
     "Exact" when no search stopped, otherwise "UpperBoundOnly" with the best
     incumbent found. The empty graph has no components: value 0, "Exact".
     """
@@ -223,11 +229,11 @@ def gamma_k_exact(
     stopped = False
     for vertices in comps:
         nodes_left = 0 if stopped else budget_nodes - nodes
-        picked, used, root_lb, greedy, halted = _solve_component(vertices, balls, nodes_left, deadline)
+        picked, used, root_lb, start, halted = _solve_component(vertices, balls, nodes_left, deadline)
         chosen += picked
         nodes += used
         lower += root_lb
-        upper += greedy
+        upper += start
         stopped |= halted
     status = "UpperBoundOnly" if stopped else "Exact"
     return Certificate(k, tuple(sorted(chosen)), status, lower, upper, nodes, "BranchAndBound", len(comps))
@@ -247,10 +253,24 @@ def _undominated(vertices: tuple[int, ...], balls: tuple[int, ...]) -> int:
     return keep
 
 
+def _first_descent(ball, reach, order, full):
+    """The search's first dive with no bounding, in local labels: each vertex
+    still uncovered, in label order (fewest candidates first), takes the
+    candidate with the most fresh coverage, ties to the lowest vertex."""
+    uncovered = full
+    chosen = 0
+    while uncovered:
+        p = (uncovered & -uncovered).bit_length() - 1
+        c = min(_iter_bits(reach[p]), key=lambda c: (-(ball[c] & uncovered).bit_count(), order[c]))
+        uncovered &= ~ball[c]
+        chosen |= 1 << c
+    return chosen
+
+
 def _solve_component(vertices, balls, nodes_left, deadline):
     """Search one component with at most ``nodes_left`` nodes below the root;
-    returns (chosen vertices, nodes, root bound, greedy value, whether it
-    stopped early).
+    returns (chosen vertices, nodes, root bound, starting cover size, whether
+    it stopped early).
 
     Vertices are relabelled 0..m-1 by ascending candidate count, so walking
     the bits of the uncovered mask visits them in the packing order."""
@@ -267,7 +287,7 @@ def _solve_component(vertices, balls, nodes_left, deadline):
     full = (1 << len(order)) - 1
     picked = _greedy_cover(balls, vertices)
     best_set = sum(1 << pos[v] for v in picked)
-    best = greedy = len(picked)
+    best = greedy = upper = len(picked)
     root_lb = 1
     nodes = 0
     stopped = False
@@ -306,6 +326,15 @@ def _solve_component(vertices, balls, nodes_left, deadline):
             elif c < fewest:
                 fewest, branch = c, a
         else:
+            if not size and upper == greedy:
+                # the root needs search: start from the first descent if it is
+                # smaller (on a tie the greedy set stays), scanning the root again
+                descent = _first_descent(ball, reach, order, full)
+                if descent.bit_count() < best:
+                    best_set = descent
+                    best = upper = descent.bit_count()
+                    stack.append((covered, allowed, size, chosen))
+                    continue
             if forced:
                 for p in _iter_bits(forced):
                     covered |= ball[p]
@@ -318,4 +347,4 @@ def _solve_component(vertices, balls, nodes_left, deadline):
                 stack.extend(reversed(kids))
         if not size:
             root_lb = count
-    return [order[p] for p in _iter_bits(best_set)], nodes, root_lb, greedy, stopped
+    return [order[p] for p in _iter_bits(best_set)], nodes, root_lb, upper, stopped

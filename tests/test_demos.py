@@ -15,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 STDOUT_SHA256 = {
-    "bounds_tour.py": "060b7ee50b6de029e75836baaa6413d64abbb33e4c4a1c5a47b13e10e27185e4",
+    "bounds_tour.py": "fb1e9a900c6c7207bb0cbb3b652858e168300968629708ba72e12a2a037e32ec",
     "cycle_witness_demo.py": "690d38bb5b5e03bdb6790a17166d6b0c325f61f2ded0f70a94ae7f86a5e859e3",
     "direct_product_projections.py": "2098cd34ea9359401312f8bcff2120d77fdc298bbccea9cc547909054318f752",
     "spanning_tree_walkthrough.py": "a56e2f42b510399a49bfee4adc5a6805791dbf40cb9599eabad6de7aed03fdfc",

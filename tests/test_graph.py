@@ -258,6 +258,31 @@ class TestMetrics:
         g.metrics()
         assert len(calls) <= 12
 
+    def test_cycle_needs_only_the_connectivity_bfs(self, monkeypatch):
+        bfs = Graph.bfs_distances
+        for n in range(3, 41):
+            g = cycle(n)
+            expected = [max(bfs(g, v)) for v in range(n)]
+            calls = []
+
+            def counted(self, *sources):
+                calls.append(sources)
+                return bfs(self, *sources)
+
+            monkeypatch.setattr(Graph, "bfs_distances", counted)
+            m = g.metrics()
+            monkeypatch.setattr(Graph, "bfs_distances", bfs)
+            assert list(m.ecc) == expected
+            assert (m.diameter, m.radius) == (max(expected), min(expected))
+            assert len(calls) == 1
+
+    def test_disjoint_triangles_stay_disconnected(self):
+        # 2-regular but not a cycle: no finite eccentricity
+        m = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]).metrics()
+        assert not m.connected and m.girth == 3
+        assert math.isinf(m.diameter) and math.isinf(m.radius)
+        assert all(math.isinf(e) for e in m.ecc)
+
     def test_components_ordered_and_cached(self):
         g = from_edge_list(6, [(3, 4), (0, 2), (4, 5)])
         assert g.components() == ((0, 2), (1,), (3, 4, 5))

@@ -10,6 +10,7 @@ from kdom import (
     ParseError,
     SimplenessViolation,
     cycle,
+    from_edge_list,
     parse_edge_list,
     path,
     serialize_edge_list,
@@ -67,6 +68,17 @@ class TestParse:
         with pytest.warns(UserWarning):
             g = parse_edge_list("3 2\n0 1\n1 0\n", strict=False)
         assert g.m == 1
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: parse_edge_list("3 3\n0 1\n1 0\n1 2\n", strict=False),
+         lambda: from_edge_list(3, [(0, 1), (1, 0), (2, 2)])],
+        ids=["parse_edge_list", "from_edge_list"],
+    )
+    def test_lenient_warning_names_the_caller(self, build):
+        with pytest.warns(UserWarning, match="dropped") as record:
+            build()
+        assert [w.filename for w in record] == [__file__]
 
 
 class TestRoundTrip:

@@ -20,7 +20,7 @@ from kdom import (
     packing_lower,
     path,
 )
-from kdom.solver import ORACLE_MAX_N
+from kdom.solver import ORACLE_MAX_N, _greedy_cover
 
 
 class TestIsKDominating:
@@ -100,8 +100,9 @@ class TestOracle:
 
 
 class TestGreedyUpper:
-    """With no nodes to search, ``gamma_k_exact`` returns the greedy cover,
-    whose size is ``upper_bound_used``."""
+    """With no nodes to search, ``gamma_k_exact`` returns its starting cover,
+    the smaller of the greedy cover and the search's first descent, whose
+    size is ``upper_bound_used``."""
 
     def test_path_center(self):
         cert = gamma_k_exact(path(5), 2, budget_nodes=0)
@@ -124,6 +125,22 @@ class TestGreedyUpper:
             cert = gamma_k_exact(g, k, budget_nodes=0)
             assert is_k_dominating(g, cert.vertices, k)
             assert cert.upper_bound_used == cert.value >= gamma_k_oracle(g, k).value
+
+    def test_smaller_cover_when_descent_beats_greedy(self):
+        # the greedy cover takes 9 vertices here, the first descent 8 = gamma_2
+        g = clique_expanded_path(40, 3)
+        assert len(_greedy_cover(g.balls(2), tuple(range(g.n)))) == 9
+        cert = gamma_k_exact(g, 2, budget_nodes=0)
+        assert cert.upper_bound_used == cert.value == 8 and cert.status == "Exact"
+        assert is_k_dominating(g, cert.vertices, 2)
+
+    def test_never_above_greedy_cover(self):
+        rng = random.Random(24)
+        for _ in range(60):
+            g = random_connected(rng, rng.randint(1, 40), rng.uniform(0.02, 0.3))
+            for k in (1, 2, 3):
+                greedy = len(_greedy_cover(g.balls(k), tuple(range(g.n))))
+                assert gamma_k_exact(g, k, budget_nodes=0).upper_bound_used <= greedy
 
 
 class TestPackingLower:
@@ -331,6 +348,27 @@ class TestGammaKExact:
             assert cert.value == 1121  # agrees with the HiGHS optimum
 
 
+class TestClosesAtTheRoot:
+    """The starting cover meets the root packing bound on the paper's tight
+    families, so the search explores no node."""
+
+    @pytest.mark.parametrize("n_base, delta", [(251, 2), (377, 2), (501, 2), (168, 3), (250, 3), (334, 3)])
+    def test_clique_expanded_paths(self, n_base, delta):
+        g = clique_expanded_path(n_base, delta)
+        assert 500 <= g.n <= 1000
+        for k in (1, 2, 3):
+            cert = gamma_k_exact(g, k)
+            assert cert.status == "Exact" and cert.nodes_explored == 0
+            assert cert.value == gamma_path_cycle(n_base, k, "path")
+
+    def test_large_tree_k2_k3(self):
+        g = random_tree(random.Random(3), 3000)
+        for k in (2, 3):
+            cert = gamma_k_exact(g, k)
+            assert cert.status == "Exact" and cert.nodes_explored == 0
+            assert is_k_dominating(g, cert.vertices, k)
+
+
 def _highs_gamma(g: Graph, k: int) -> int:
     """Optimum of the k-ball covering integer program, solved by HiGHS."""
     import numpy as np
@@ -379,15 +417,15 @@ def _sparse(seed: int, n: int) -> Graph:
 # deterministic, so the test cannot flake; raising a ceiling needs a stated
 # reason in CHANGES.md.
 NODE_RATCHET = [
-    ("sparse-1-60", lambda: _sparse(1, 60), 1, 14, 785),
+    ("sparse-1-60", lambda: _sparse(1, 60), 1, 14, 765),
     ("sparse-2-90", lambda: _sparse(2, 90), 2, 6, 7316),
     ("sparse-3-120", lambda: _sparse(3, 120), 3, 3, 282),
     ("sparse-5-60", lambda: _sparse(5, 60), 1, 14, 2552),
-    ("sparse-8-90", lambda: _sparse(8, 90), 2, 6, 3492),
+    ("sparse-8-90", lambda: _sparse(8, 90), 2, 6, 3459),
     ("sparse-11-120", lambda: _sparse(11, 120), 3, 4, 2304),
     ("petersen", petersen, 1, 3, 11),
     ("cycle-25", lambda: cycle(25), 1, 9, 3),
-    ("clique-expanded-40-3", lambda: clique_expanded_path(40, 3), 2, 8, 31),
+    ("clique-expanded-40-3", lambda: clique_expanded_path(40, 3), 2, 8, 0),
     ("product-c5-p6", lambda: direct_product(cycle(5), path(6)), 1, 8, 87),
 ]
 
