@@ -216,10 +216,10 @@ def _run_trial(report: FuzzReport, index: int, budget: dict) -> None:
             report.skip("spanning_tree_preserves_gamma", "budget_exhausted")
         else:
             # every vertex stays within k of its own cell's dominator in the tree
-            reach = [res.tree.closed_k_neighborhood(d, k) for d in res.dominating_set]
+            reach = [set(res.tree.closed_k_neighborhood(d, k)) for d in res.dominating_set]
             ok = (
                 _spanning_tree_valid(g, res.tree)
-                and all(reach[c] >> v & 1 for v, c in enumerate(res.partition))
+                and all(v in reach[c] for v, c in enumerate(res.partition))
                 and gamma_k_oracle(res.tree, k).value == gamma
             )
             judge("spanning_tree_preserves_gamma", k, ok, gamma=gamma)

@@ -2,10 +2,11 @@
 
 Vertices are the integers 0..n-1. The adjacency relation is kept once, as
 sorted neighbor tuples, and every traversal is a BFS over them. Components
-are sorted vertex tuples; the k-ball tables are the only bitsets, one int
-per vertex with bit u set for each u in the ball. Distances are plain hop
-counts; inside a BFS distance row "unreachable" is encoded as the sentinel
-value n (strictly larger than any realizable distance), while
+and k-balls are sorted vertex tuples too, so the graph holds no bitsets: a
+k-ball table costs O(sum of ball sizes), and only the exact solver builds
+bitsets, per component. Distances are plain hop counts; inside a BFS
+distance row "unreachable" is encoded as the sentinel value n (strictly
+larger than any realizable distance), while
 reporting-level quantities (diameter, radius, girth, eccentricity) use
 ``math.inf`` so disconnected and acyclic cases read naturally.
 
@@ -48,7 +49,7 @@ class Graph:
         self.edges = edge_set
         self.adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
         self._metrics: Metrics | None = None
-        self._balls: dict[int, tuple[int, ...]] = {}
+        self._balls: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._components: tuple[tuple[int, ...], ...] | None = None
 
     @property
@@ -104,29 +105,30 @@ class Graph:
                     queue.append(w)
         return dist
 
-    def closed_k_neighborhood(self, v: int, k: int) -> int:
-        """Bitset of all vertices within distance ``k`` of ``v`` (k >= 0)."""
+    def closed_k_neighborhood(self, v: int, k: int) -> tuple[int, ...]:
+        """The vertices within distance ``k`` of ``v`` (k >= 0), ascending."""
         self._check_vertex(v)
         if k < 0:
             raise ValueError("k must be >= 0")
         adj = self.adj
-        seen = 1 << v
+        seen = {v}
         frontier = [v]
         for _ in range(min(k, self.n - 1)):
             nxt = []
             for u in frontier:
                 for w in adj[u]:
-                    if not seen >> w & 1:
-                        seen |= 1 << w
+                    if w not in seen:
+                        seen.add(w)
                         nxt.append(w)
             if not nxt:
                 break
             frontier = nxt
-        return seen
+        return tuple(sorted(seen))
 
-    def balls(self, k: int) -> tuple[int, ...]:
-        """The closed k-neighborhood bitset of every vertex, computed once per
-        k and cached; the same tuple is returned on every call."""
+    def balls(self, k: int) -> tuple[tuple[int, ...], ...]:
+        """The closed k-neighborhood of every vertex, as ascending vertex
+        tuples, computed once per k and cached; the same tuple is returned on
+        every call. Memory is O(sum of ball sizes)."""
         table = self._balls.get(k)
         if table is None:
             table = tuple(self.closed_k_neighborhood(v, k) for v in range(self.n))

@@ -17,10 +17,11 @@ a fixed vertex order, and incumbents are replaced only on strict improvement.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DisconnectedInput, InvalidOrder, TooLarge
 from .graph import Graph
@@ -129,26 +130,24 @@ def gamma_k_oracle(g: Graph, k: int) -> Certificate:
     raise AssertionError("V(G) itself must dominate")  # pragma: no cover
 
 
-def _greedy_cover(balls: tuple[int, ...], vertices: tuple[int, ...]) -> list[int]:
-    """Greedy set-cover of one component's ``vertices``: take the largest fresh
-    coverage, ties to the lowest index, until all are covered (a ball never
-    leaves its component); returns the chosen vertices in the order taken.
-    Coverage only shrinks, so stale heap entries are upper bounds (lazy
-    greedy)."""
-    heap = [(-balls[v].bit_count(), v) for v in vertices]
+def _greedy_cover(ball: list[int], order: Sequence[int]) -> list[int]:
+    """Greedy set-cover of one component in local labels, where ``ball[p]`` is
+    the k-ball bitset of vertex ``order[p]``: take the largest fresh coverage,
+    ties to the lowest vertex, until all are covered; returns the chosen
+    positions in the order taken. Coverage only shrinks, so stale heap
+    entries are upper bounds (lazy greedy)."""
+    heap = [(-b.bit_count(), v, p) for p, (b, v) in enumerate(zip(ball, order))]
     heapq.heapify(heap)
-    left = len(vertices)
-    covered = 0
+    uncovered = (1 << len(ball)) - 1
     chosen = []
-    while left:
-        stored, v = heapq.heappop(heap)
-        gain = (balls[v] & ~covered).bit_count()
+    while uncovered:
+        stored, v, p = heapq.heappop(heap)
+        gain = (ball[p] & uncovered).bit_count()
         if gain == -stored:
-            covered |= balls[v]
-            chosen.append(v)
-            left -= gain
+            uncovered &= ~ball[p]
+            chosen.append(p)
         elif gain:
-            heapq.heappush(heap, (-gain, v))
+            heapq.heappush(heap, (-gain, v, p))
     return chosen
 
 
@@ -158,14 +157,17 @@ def packing_lower(g: Graph, k: int) -> int:
     No vertex can k-dominate two members of such a packing, so the size is a
     valid lower bound on the domination number. Two vertices are that far
     apart exactly when their k-balls are disjoint. Connected input required.
+    The greedy takes vertices in index order and keeps the union of the
+    balls taken as a set.
     """
     _check_k(k)
     if not g.is_connected():
         raise DisconnectedInput("packing bound requires a connected graph")
-    taken = count = 0
+    taken: set[int] = set()
+    count = 0
     for ball in g.balls(k):
-        if not ball & taken:
-            taken |= ball
+        if taken.isdisjoint(ball):
+            taken.update(ball)
             count += 1
     return count
 
@@ -215,12 +217,15 @@ def gamma_k_exact(
     charged to ``budget_nodes``; a negative budget acts like 0.
     A search stops when it needs node ``budget_nodes + 1`` (so
     ``nodes_explored`` then equals ``budget_nodes``) or, checked once every
-    2048 nodes, when ``budget_seconds`` have passed. Every component after
+    2048 nodes, when ``budget_seconds`` have passed (``inf`` never stops a
+    search; NaN raises ``ValueError``). Every component after
     the one that stopped gets no nodes and keeps its starting cover. Status is
     "Exact" when no search stopped, otherwise "UpperBoundOnly" with the best
     incumbent found. The empty graph has no components: value 0, "Exact".
     """
     _check_k(k)
+    if math.isnan(budget_seconds):
+        raise ValueError("budget_seconds must be a number or inf, got nan")
     balls = g.balls(k)
     deadline = time.monotonic() + budget_seconds
     comps = g.components()
@@ -239,17 +244,23 @@ def gamma_k_exact(
     return Certificate(k, tuple(sorted(chosen)), status, lower, upper, nodes, "BranchAndBound", len(comps))
 
 
-def _undominated(vertices: tuple[int, ...], balls: tuple[int, ...]) -> int:
-    """Mask of the vertices whose k-ball no other contains (of equal balls the
-    lowest index stays); a ball containing ``balls[v]`` is centred in it."""
-    keep = 0
+def _undominated(vertices: tuple[int, ...], balls: tuple[tuple[int, ...], ...]) -> list[int]:
+    """The vertices whose k-ball no other contains (of equal balls the lowest
+    index stays), ascending; a ball containing ``balls[v]`` is centred in it.
+    The balls are compared as bitsets over the component's indices, built
+    here and freed on return."""
+    bit = {v: 1 << i for i, v in enumerate(vertices)}
+    mask = {v: sum(map(bit.__getitem__, balls[v])) for v in vertices}
+    del bit
+    keep = []
     for v in vertices:
-        bv = balls[v]
-        for u in _iter_bits(bv):
-            if bv & balls[u] == bv and u != v and (balls[u] != bv or u < v):
+        bv = mask[v]
+        for u in balls[v]:
+            bu = mask[u]
+            if bv & bu == bv and u != v and (bu != bv or u < v):
                 break
         else:
-            keep |= 1 << v
+            keep.append(v)
     return keep
 
 
@@ -273,20 +284,22 @@ def _solve_component(vertices, balls, nodes_left, deadline):
     it stopped early).
 
     Vertices are relabelled 0..m-1 by ascending candidate count, so walking
-    the bits of the uncovered mask visits them in the packing order."""
+    the bits of the uncovered mask visits them in the packing order. The
+    local bitsets are built here from the ball tuples and live only for this
+    search. On path-like labellings each table costs about m²/16 bytes, the
+    ``1 << p`` map that builds them included, so each map is freed once it
+    has been used and at most two tables are alive at once."""
     cands = _undominated(vertices, balls)
-    order = sorted(vertices, key=lambda w: ((balls[w] & cands).bit_count(), w))
-    pos = {v: p for p, v in enumerate(order)}
-
-    def local(mask: int) -> int:
-        return sum(1 << pos[v] for v in _iter_bits(mask))
-
-    ball = [local(balls[v]) for v in order]
-    start = local(cands)
+    is_cand = set(cands)
+    order = sorted(vertices, key=lambda w: (len(is_cand.intersection(balls[w])), w))
+    bit = {v: 1 << p for p, v in enumerate(order)}
+    ball = [sum(map(bit.__getitem__, balls[v])) for v in order]
+    start = sum(map(bit.__getitem__, cands))
+    del bit
     reach = [b & start for b in ball]  # the candidates within distance k
     full = (1 << len(order)) - 1
-    picked = _greedy_cover(balls, vertices)
-    best_set = sum(1 << pos[v] for v in picked)
+    picked = _greedy_cover(ball, order)
+    best_set = sum(1 << p for p in picked)
     best = greedy = upper = len(picked)
     root_lb = 1
     nodes = 0

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -175,6 +176,18 @@ class TestBoundsReport:
         reports = [bounds_report(g, k) for k in (1, 2, 3)]
         assert len(calls) == 3
         assert all(r.ub_greedy == r.exact.upper_bound_used for r in reports)
+
+    def test_report_memory_on_long_path(self):
+        # the solver's transient local bitsets (about n^2/16 bytes per table)
+        # must be freed one by one: the tables held side by side peak far higher
+        g = path(10000)
+        tracemalloc.start()
+        try:
+            bounds_report(g, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
 
 class TestProductBoundCheck:

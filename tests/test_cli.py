@@ -108,6 +108,17 @@ class TestGammaCommand:
         assert exc.value.code == 2
         assert f"argument --k: {message}\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["gamma", "bounds", "spanning-tree"])
+    def test_nan_budget_seconds_exit_2(self, capsys, c10_file, command):
+        assert main([command, "--in", c10_file, "--budget-seconds", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "kdom: budget_seconds must be a number or inf, got nan\n"
+
+    def test_inf_budget_seconds_accepted(self, capsys, c10_file):
+        code, doc = run_json(capsys, "gamma", "--k", "2", "--in", c10_file, "--budget-seconds", "inf")
+        assert code == 0 and doc["status"] == "Exact"
+
     def test_unwritable_out_exit_2(self, capsys, c10_file, tmp_path):
         assert main(["gamma", "--in", c10_file, "--out", str(tmp_path / "no" / "x.json")]) == 2
         assert capsys.readouterr().err.startswith("kdom: [Errno 2]")

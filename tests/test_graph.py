@@ -157,13 +157,13 @@ class TestClosedKNeighborhood:
     def test_k0_is_self(self):
         g = cycle(5)
         for v in range(5):
-            assert g.closed_k_neighborhood(v, 0) == 1 << v
+            assert g.closed_k_neighborhood(v, 0) == (v,)
 
     def test_cycle_window(self):
-        assert cycle(6).closed_k_neighborhood(0, 2) == 0b110111  # {0, 1, 2, 4, 5}
+        assert cycle(6).closed_k_neighborhood(0, 2) == (0, 1, 2, 4, 5)
 
     def test_path_center_covers_all(self):
-        assert path(5).closed_k_neighborhood(2, 2) == (1 << 5) - 1
+        assert path(5).closed_k_neighborhood(2, 2) == (0, 1, 2, 3, 4)
 
     def test_matches_distance_rows(self):
         rng = random.Random(23)
@@ -173,11 +173,34 @@ class TestClosedKNeighborhood:
                 row = g.bfs_distances(v)
                 for k in range(g.n + 1):
                     # the sentinel n means unreachable, never "within k"
-                    want = sum(1 << u for u in range(g.n) if row[u] <= min(k, g.n - 1))
+                    want = tuple(u for u in range(g.n) if row[u] <= min(k, g.n - 1))
                     assert g.closed_k_neighborhood(v, k) == want
                     assert g.balls(k)[v] == want
             for k in range(g.n + 1):
                 assert g.balls(k) is g.balls(k)
+
+    def test_ball_table_memory_on_edgeless_graph(self):
+        # one vertex tuple per vertex: an n-bit int per vertex peaked at 26 MB
+        g = Graph(20000, [])
+        tracemalloc.start()
+        try:
+            g.balls(1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_ball_table_memory_on_long_path(self):
+        # O(sum of ball sizes) for all three tables: as bitsets they took 78 MB
+        g = path(20000)
+        tracemalloc.start()
+        try:
+            for k in (1, 2, 3):
+                g.balls(k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
 
 class TestMetrics:
@@ -367,7 +390,7 @@ class TestTraversalsAgainstNetworkx:
             balls = g.balls(k)
             for v in range(g.n):
                 near = nx.single_source_shortest_path_length(h, v, cutoff=k)
-                assert balls[v] == sum(1 << u for u in near)
+                assert balls[v] == tuple(sorted(near))
 
 
 class TestShortestCycle:

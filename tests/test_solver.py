@@ -23,6 +23,11 @@ from kdom import (
 from kdom.solver import ORACLE_MAX_N, _greedy_cover
 
 
+def _masks(balls):
+    # the k-ball tuples as bitsets in the identity labelling _greedy_cover takes
+    return [sum(1 << u for u in ball) for ball in balls]
+
+
 class TestIsKDominating:
     def test_cycle_pair(self):
         assert is_k_dominating(cycle(6), {0, 3}, 1)
@@ -129,7 +134,7 @@ class TestGreedyUpper:
     def test_smaller_cover_when_descent_beats_greedy(self):
         # the greedy cover takes 9 vertices here, the first descent 8 = gamma_2
         g = clique_expanded_path(40, 3)
-        assert len(_greedy_cover(g.balls(2), tuple(range(g.n)))) == 9
+        assert len(_greedy_cover(_masks(g.balls(2)), range(g.n))) == 9
         cert = gamma_k_exact(g, 2, budget_nodes=0)
         assert cert.upper_bound_used == cert.value == 8 and cert.status == "Exact"
         assert is_k_dominating(g, cert.vertices, 2)
@@ -139,7 +144,7 @@ class TestGreedyUpper:
         for _ in range(60):
             g = random_connected(rng, rng.randint(1, 40), rng.uniform(0.02, 0.3))
             for k in (1, 2, 3):
-                greedy = len(_greedy_cover(g.balls(k), tuple(range(g.n))))
+                greedy = len(_greedy_cover(_masks(g.balls(k)), range(g.n)))
                 assert gamma_k_exact(g, k, budget_nodes=0).upper_bound_used <= greedy
 
 
@@ -291,6 +296,12 @@ class TestGammaKExact:
         cert = gamma_k_exact(g, 1, budget_seconds=0)
         assert cert.status == "UpperBoundOnly" and cert.nodes_explored < 2048
         assert is_k_dominating(g, cert.vertices, 1)
+
+    def test_nan_time_budget_rejected(self):
+        # monotonic() > nan is never true, so a NaN budget would switch the limit off
+        with pytest.raises(ValueError, match="nan"):
+            gamma_k_exact(cycle(5), 1, budget_seconds=float("nan"))
+        assert gamma_k_exact(cycle(5), 1, budget_seconds=float("inf")).status == "Exact"
 
     def test_disconnected_ample_budget_is_exact_sum(self):
         first = _sparse(5, 60)
