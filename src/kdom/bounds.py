@@ -162,6 +162,8 @@ def bounds_report(g: Graph, k: int, **budget) -> BoundsReport:
     met = g.metrics()
     n = g.n
     window = 2 * k + 1
+    degrees = list(map(len, g.adj))  # read once, for both extremes
+    min_deg, max_deg = min(degrees, default=0), max(degrees, default=0)
 
     if met.connected and n:
         lbd = max(1, lb_diameter(met.diameter, k))
@@ -172,8 +174,8 @@ def bounds_report(g: Graph, k: int, **budget) -> BoundsReport:
         raw_r = 2 * met.radius / window
         raw_g = met.girth / window if not math.isinf(met.girth) else None
         ubm = ub_meir_moon(n, k)
-        ubt = ub_tian_xu(n, g.max_degree(), k)
-        ubh = ub_henning_lichiardopol(n, g.min_degree(), g.max_degree(), k)
+        ubt = ub_tian_xu(n, max_deg, k)
+        ubh = ub_henning_lichiardopol(n, min_deg, max_deg, k)
     else:
         lbd = lbr = lbg = lbp = None
         raw_d = raw_r = raw_g = None
@@ -192,8 +194,8 @@ def bounds_report(g: Graph, k: int, **budget) -> BoundsReport:
         k=k,
         n=n,
         m=g.m,
-        min_degree=g.min_degree(),
-        max_degree=g.max_degree(),
+        min_degree=min_deg,
+        max_degree=max_deg,
         diameter=met.diameter,
         radius=met.radius,
         girth=met.girth,

@@ -10,8 +10,19 @@ bound at every node, an explicit stack and no distance matrix) for everything
 at desk scale. Both return a :class:`Certificate` whose set can be re-verified
 independently with :func:`is_k_dominating`.
 
+A long branch-and-bound search escalates once, at one of its clock checks
+(every 2048 nodes), to a Lagrangian dual bound (Fisher 1981) and a Lagrangian
+incumbent (Beasley 1990). The escalation is charged no search node and the
+clock does not interrupt it; it changes neither ``lower_bound_used`` (the
+root packing bound) nor ``upper_bound_used`` (the starting cover), so no JSON
+key or schema changes. A search that ends before node 2048 takes the same
+path as without it.
+
 All search is single-threaded and fully deterministic: every tie is broken by
 a fixed vertex order, and incumbents are replaced only on strict improvement.
+The dual weights are integers in units of ``SCALE``, so every cut they make
+is an integer comparison, and the few floats behind them are computed in a
+fixed order with exactly rounded sums.
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass
+from bisect import bisect_right
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -29,6 +41,8 @@ from .graph import Graph
 DEFAULT_BUDGET_NODES = 10_000_000
 DEFAULT_BUDGET_SECONDS = 30.0
 ORACLE_MAX_N = 16
+SCALE = 1 << 24  # the unit of the integer dual weights of an escalated search
+_ESCALATION_DELAY = 150  # nodes per vertex of average ball size a search explores before escalating
 
 
 @dataclass(frozen=True)
@@ -205,6 +219,22 @@ def gamma_k_exact(
     Disconnected inputs are solved per component and summed, with the
     component count recorded in the certificate.
 
+    A component whose search is still open at a clock check escalates once,
+    after that check, if it has explored at least 150 nodes per vertex of
+    average ball size (``_ESCALATION_DELAY``): at node 2048 for balls of at
+    most about 13.6 vertices on average, later for larger ones, since the
+    escalation reads the balls up to 70 times. A subgradient on the
+    Lagrangian of the component's k-ball cover gives integer dual weights
+    under which no candidate ball weighs more than ``SCALE``, and its
+    Lagrangian covers may replace the incumbent. From then on a node is also
+    cut when its uncovered vertices weigh more than ``(room - 1) * SCALE``
+    (``room`` = incumbent size - node size), a candidate is dropped at a node
+    when that weight plus its reduced cost does (at the root: Σy + reduced
+    cost > (incumbent - 1) * SCALE), and the scan stops at the first vertex
+    with two candidates left and branches there. The escalation is charged
+    no node and is not interrupted by the clock; a search that ends before
+    node 2048 never escalates.
+
     Each component's search starts from the smaller of two covers: the
     greedy set cover (largest fresh coverage first) and the search's own
     first descent with no bounding; on a tie the greedy set stays. The
@@ -213,6 +243,8 @@ def gamma_k_exact(
     ``lower_bound_used`` sums the root packing bound of each component, whose
     scan stops at the starting value, and ``upper_bound_used`` sums those
     starting values; with ``budget_nodes=0`` the set is the starting cover.
+    An escalation changes neither: the dual bound and the Lagrangian covers
+    only cut nodes and lower the value, so the certificate keeps its keys.
     ``nodes_explored`` counts the nodes below the root, each
     charged to ``budget_nodes``; a negative budget acts like 0.
     A search stops when it needs node ``budget_nodes + 1`` (so
@@ -278,6 +310,14 @@ def _first_descent(ball, reach, order, full):
     return chosen
 
 
+def _escalation_due(nodes, ball):
+    """Whether a search that has reached node ``nodes`` escalates: once it has
+    explored ``_ESCALATION_DELAY`` nodes per vertex of average ball size. The
+    escalation reads the balls up to 70 times, so a search with large balls
+    that would end soon would pay more for it than for itself."""
+    return nodes * len(ball) >= _ESCALATION_DELAY * sum(map(int.bit_count, ball))
+
+
 def _solve_component(vertices, balls, nodes_left, deadline):
     """Search one component with at most ``nodes_left`` nodes below the root;
     returns (chosen vertices, nodes, root bound, starting cover size, whether
@@ -288,7 +328,21 @@ def _solve_component(vertices, balls, nodes_left, deadline):
     local bitsets are built here from the ball tuples and live only for this
     search. On path-like labellings each table costs about m²/16 bytes, the
     ``1 << p`` map that builds them included, so each map is freed once it
-    has been used and at most two tables are alive at once."""
+    has been used and at most two tables are alive at once.
+
+    A long search escalates once (``_escalation_due``, ``dual.escalate``): dual
+    weights ``y`` over the root candidates and perhaps a smaller incumbent.
+    The weights are valid at every node because they fit every root
+    candidate's ball, and each node allows only root candidates. From then
+    on every stack entry carries the weight of its uncovered vertices,
+    lowered by each newly covered one, so no node scans its uncovered set to
+    weigh it. A node is cut when that weight needs ``room`` more candidates,
+    a candidate is dropped at a node when its reduced cost would, and the
+    open nodes the weights cut are dropped from the stack at each new
+    incumbent; a stack is cleared once the Lagrangian bound meets the
+    incumbent. Past the escalation the scan stops at the first vertex with
+    two candidates left, since the weights now do the cutting that the rest
+    of the packing scan did."""
     cands = _undominated(vertices, balls)
     is_cand = set(cands)
     order = sorted(vertices, key=lambda w: (len(is_cand.intersection(balls[w])), w))
@@ -304,21 +358,51 @@ def _solve_component(vertices, balls, nodes_left, deadline):
     root_lb = 1
     nodes = 0
     stopped = False
-    stack = [(0, start, 0, 0)]  # (covered, allowed candidates, size, chosen)
+    y = None  # the dual weights, once the search has escalated
+
+    def prune():
+        """Drop the stack entries whose weight shows they cannot beat ``best``;
+        clear the stack if the Lagrangian bound shows no cover can."""
+        limit = (best - 1) * SCALE
+        if lower > limit:
+            stack.clear()  # the incumbent is optimal
+        else:
+            stack[:] = [e for e in stack if e[4] <= limit - e[2] * SCALE]
+
+    stack = [(0, start, 0, 0, 0)]  # (covered, allowed, size, chosen, weight of the uncovered)
     while stack:
-        covered, allowed, size, chosen = stack.pop()
+        covered, allowed, size, chosen, weight = stack.pop()
         if size:
             if nodes >= nodes_left or nodes & 2047 == 2047 and time.monotonic() > deadline:
                 stopped = True
                 break
+            if nodes & 2047 == 2047 and y is None and _escalation_due(nodes + 1, ball):
+                from . import dual  # compiled only once some search escalates
+
+                y, cover, lower, costs, dear = dual.escalate(order, balls, start, best)
+                if cover is not None:
+                    best, best_set = len(cover), sum(1 << p for p in cover)
+                weigh, total = dual.weigher(y), sum(y)
+                stack.append((covered, allowed, size, chosen, weight))  # this node, now weighed too
+                stack[:] = [(c, a, s, ch, total - weigh(c)) for c, a, s, ch, _ in stack]
+                prune()
+                continue
             nodes += 1
         if covered == full:
             if size < best:
                 best, best_set = size, chosen
+                if y is not None:
+                    prune()
             continue
         room = best - size
         if room <= 1:
             continue
+        if y is not None:
+            slack = (room - 1) * SCALE - weight
+            if slack < 0:
+                continue
+            # a cover through candidate j needs weight + its reduced cost <= (room - 1) * SCALE
+            allowed &= ~dear[bisect_right(costs, slack)]
         count = packed = branch = forced = 0
         fewest = len(order) + 1
         uncovered = rest = full & ~covered
@@ -338,6 +422,8 @@ def _solve_component(vertices, balls, nodes_left, deadline):
                 forced |= a
             elif c < fewest:
                 fewest, branch = c, a
+                if c == 2 and y is not None:
+                    rest = 0  # escalated: branch on the first pair, the dual weights cut
         else:
             if not size and upper == greedy:
                 # the root needs search: start from the first descent if it is
@@ -346,16 +432,19 @@ def _solve_component(vertices, balls, nodes_left, deadline):
                 if descent.bit_count() < best:
                     best_set = descent
                     best = upper = descent.bit_count()
-                    stack.append((covered, allowed, size, chosen))
+                    stack.append((covered, allowed, size, chosen, weight))
                     continue
             if forced:
                 for p in _iter_bits(forced):
                     covered |= ball[p]
-                stack.append((covered, allowed, size + forced.bit_count(), chosen | forced))
+                if y is not None:
+                    weight -= weigh(covered & uncovered)
+                stack.append((covered, allowed, size + forced.bit_count(), chosen | forced, weight))
             else:
                 kids = []
                 for p in sorted(_iter_bits(branch), key=lambda p: (-(ball[p] & uncovered).bit_count(), order[p])):
-                    kids.append((covered | ball[p], allowed, size + 1, chosen | 1 << p))
+                    w = weight - weigh(ball[p] & uncovered) if y is not None else 0
+                    kids.append((covered | ball[p], allowed, size + 1, chosen | 1 << p, w))
                     allowed ^= 1 << p
                 stack.extend(reversed(kids))
         if not size:

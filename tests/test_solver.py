@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +24,9 @@ from kdom import (
     packing_lower,
     path,
 )
-from kdom.solver import ORACLE_MAX_N, _greedy_cover
+import kdom.dual
+from kdom.dual import lagrangian, weigher
+from kdom.solver import ORACLE_MAX_N, SCALE, _greedy_cover, _undominated
 
 
 def _masks(balls):
@@ -268,7 +274,7 @@ class TestGammaKExact:
         assert cert.value >= gamma_k_oracle(cycle(4), 1).value
 
     def test_budget_stop_in_first_component_marks_whole_certificate(self):
-        # the first component needs 2552 nodes; the path 60-61-62 closes at its root
+        # the first component needs 2047 nodes; the path 60-61-62 closes at its root
         first = _sparse(5, 60)
         g = Graph(63, [*first.edges, (60, 61), (61, 62)])
         cert = gamma_k_exact(g, 1, budget_nodes=100)
@@ -292,7 +298,7 @@ class TestGammaKExact:
             assert gamma_k_exact(g, 1, budget_nodes=-5) == gamma_k_exact(g, 1, budget_nodes=0)
 
     def test_time_budget_stops_within_2048_nodes(self):
-        g = _sparse(5, 60)  # needs 2552 nodes
+        g = _sparse(5, 60)  # needs 2047 nodes and an escalation
         cert = gamma_k_exact(g, 1, budget_seconds=0)
         assert cert.status == "UpperBoundOnly" and cert.nodes_explored < 2048
         assert is_k_dominating(g, cert.vertices, 1)
@@ -420,6 +426,150 @@ class TestAgainstHighs:
                     assert cert.value >= optimum, (n, k)
 
 
+def _dual(g: Graph, k: int):
+    """The escalation's Lagrangian on a connected graph in the identity
+    labelling, from the greedy cover: (y, cover, lower, candidates, greedy)."""
+    balls = g.balls(k)
+    cands = _undominated(tuple(range(g.n)), balls)
+    greedy = len(_greedy_cover(_masks(balls), range(g.n)))
+    y, cover, lower = lagrangian([list(b) for b in balls], cands, greedy)
+    return y, cover, lower, cands, greedy
+
+
+def _no_lagrangian(*args):
+    raise AssertionError("the search escalated")
+
+
+# certificates of solves that end before node 2048, as produced before the
+# escalation existed
+SHORT_SOLVES = [
+    ("sparse-1-60", lambda: _sparse(1, 60), {
+        "k": 1, "gamma_k": 14, "set": [0, 7, 8, 9, 13, 18, 21, 22, 29, 31, 35, 40, 46, 47], "status": "Exact",
+        "lower_bound_used": 11, "nodes_explored": 765, "method": "BranchAndBound", "components": 1,
+    }),
+    ("petersen", petersen, {
+        "k": 1, "gamma_k": 3, "set": [0, 2, 6], "status": "Exact", "lower_bound_used": 1,
+        "nodes_explored": 11, "method": "BranchAndBound", "components": 1,
+    }),
+    ("product-c5-p6", lambda: direct_product(cycle(5), path(6)), {
+        "k": 1, "gamma_k": 8, "set": [1, 4, 7, 10, 14, 15, 18, 23], "status": "Exact", "lower_bound_used": 6,
+        "nodes_explored": 87, "method": "BranchAndBound", "components": 1,
+    }),
+]
+
+
+class TestEscalation:
+    """A search still open at node 2048 escalates once to Lagrangian dual
+    weights and a Lagrangian incumbent."""
+
+    def test_dual_weights_fit_every_candidate_ball(self):
+        rng = random.Random(41)
+        for n in (30, 60, 100):
+            for k in (1, 2, 3):
+                g = random_connected(rng, n, 2.5 / n)
+                y, cover, lower, cands, greedy = _dual(g, k)
+                balls = g.balls(k)
+                assert all(isinstance(w, int) and w >= 0 for w in y)
+                assert all(sum(y[v] for v in balls[c]) <= SCALE for c in cands), (n, k)
+                assert sum(y) <= lower
+                if cover is not None:
+                    assert len(cover) < greedy and is_k_dominating(g, cover, k)
+
+    def test_dual_weight_at_most_highs_optimum(self):
+        pytest.importorskip("scipy")
+        rng = random.Random(43)
+        for n in (40, 90):
+            for k in (1, 2):
+                g = random_connected(rng, n, 2.5 / n)
+                y, _, lower, _, _ = _dual(g, k)
+                assert sum(y) <= lower <= _highs_gamma(g, k) * SCALE, (n, k)
+
+    @pytest.mark.parametrize("build, expected", [r[1:] for r in SHORT_SOLVES], ids=[r[0] for r in SHORT_SOLVES])
+    def test_short_solves_unchanged(self, monkeypatch, build, expected):
+        monkeypatch.setattr(kdom.dual, "lagrangian", _no_lagrangian)
+        assert gamma_k_exact(build(), 1).to_dict() == expected
+
+    def test_time_budget_stops_before_escalating(self, monkeypatch):
+        monkeypatch.setattr(kdom.dual, "lagrangian", _no_lagrangian)
+        cert = gamma_k_exact(_sparse(5, 60), 1, budget_seconds=0)
+        assert cert.status == "UpperBoundOnly" and cert.nodes_explored < 2048
+
+    def test_once_per_component_and_charged_no_node(self, monkeypatch):
+        calls = []
+        original = kdom.dual.lagrangian
+        monkeypatch.setattr(kdom.dual, "lagrangian", lambda *a: calls.append(a) or original(*a))
+        first = _sparse(5, 60)
+        g = Graph(120, [*first.edges, *((u + 60, v + 60) for u, v in first.edges)])
+        cert = gamma_k_exact(g, 1)
+        # each copy escalates at node 2048, where its dual bound closes the search
+        assert len(calls) == 2
+        assert cert.status == "Exact" and cert.value == 28 and cert.nodes_explored == 2 * 2047
+        # the escalation leaves the root bound and the starting cover alone
+        alone = gamma_k_exact(first, 1, budget_nodes=0)
+        assert cert.lower_bound_used == 2 * alone.lower_bound_used
+        assert cert.upper_bound_used == 2 * alone.upper_bound_used
+
+    def test_dual_module_loads_only_when_a_search_escalates(self):
+        # the escalation's code is compiled only by processes that need it
+        code = (
+            "import sys, kdom\n"
+            "kdom.gamma_k_exact(kdom.cycle(40), 1)\n"
+            "assert 'kdom.dual' not in sys.modules\n"
+            f"kdom.gamma_k_exact(kdom.Graph(60, {sorted(_sparse(5, 60).edges)}), 1)\n"
+            "assert 'kdom.dual' in sys.modules\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    def test_weigher_sums_the_set_bits(self):
+        # byte tables up to 256 vertices, a walk over the bits above
+        rng = random.Random(45)
+        for m in (1, 9, 256, 257, 300):
+            y = [rng.randrange(SCALE + 1) for _ in range(m)]
+            weigh = weigher(y)
+            for _ in range(20):
+                mask = rng.getrandbits(m)
+                assert weigh(mask) == sum(w for i, w in enumerate(y) if mask >> i & 1)
+
+    def test_large_tree_proved_after_escalating(self):
+        # 3000 vertices: the work cap keeps the subgradient to a few passes over
+        # the balls, and its bound closes the search 128 nodes past node 2048
+        g = random_tree(random.Random(3), 3000)
+        cert = gamma_k_exact(g, 1, budget_nodes=20_000)
+        assert cert.status == "Exact" and cert.value == 1121  # the HiGHS optimum
+        assert cert.nodes_explored <= 2175
+
+    def test_escalated_searches_against_highs(self, monkeypatch):
+        # an independent check of every escalated route: bound, bans, incumbent
+        pytest.importorskip("scipy")
+        calls = []
+        original = kdom.dual.lagrangian
+        monkeypatch.setattr(kdom.dual, "lagrangian", lambda *a: calls.append(a) or original(*a))
+        rng = random.Random(59)
+        for n, k in [(90, 1), (95, 1), (100, 1), (105, 1), (110, 1), (115, 1), (120, 1), (125, 1),
+                     (90, 2), (100, 2), (110, 2), (120, 2)]:
+            g = random_connected(rng, n, 2.5 / n)
+            cert = gamma_k_exact(g, k, budget_nodes=10_000)
+            optimum = _highs_gamma(g, k)
+            assert is_k_dominating(g, cert.vertices, k)
+            if cert.status == "Exact":
+                assert cert.value == optimum, (n, k)
+            else:
+                assert cert.value >= optimum, (n, k)
+        assert len(calls) == 11  # only (100, 2) ends before its escalation, at node 3912
+
+    def test_larger_balls_escalate_later(self, monkeypatch):
+        # 150 nodes per vertex of average ball size: about 3400 nodes for these
+        # k = 2 balls of about 22.5 vertices, so the clock check at node 4096
+        calls = []
+        original = kdom.dual.escalate
+        monkeypatch.setattr(kdom.dual, "escalate", lambda *a: calls.append(a) or original(*a))
+        assert gamma_k_exact(_sparse(8, 90), 2).nodes_explored == 3459 and not calls
+        assert gamma_k_exact(_sparse(2, 90), 2).nodes_explored > 4096 and len(calls) == 1
+
+
 def _sparse(seed: int, n: int) -> Graph:
     return random_connected(random.Random(seed), n, 2.5 / n)
 
@@ -429,11 +579,15 @@ def _sparse(seed: int, n: int) -> Graph:
 # reason in CHANGES.md.
 NODE_RATCHET = [
     ("sparse-1-60", lambda: _sparse(1, 60), 1, 14, 765),
-    ("sparse-2-90", lambda: _sparse(2, 90), 2, 6, 7316),
+    ("sparse-2-90", lambda: _sparse(2, 90), 2, 6, 4229),
     ("sparse-3-120", lambda: _sparse(3, 120), 3, 3, 282),
-    ("sparse-5-60", lambda: _sparse(5, 60), 1, 14, 2552),
+    ("sparse-5-60", lambda: _sparse(5, 60), 1, 14, 2047),
     ("sparse-8-90", lambda: _sparse(8, 90), 2, 6, 3459),
     ("sparse-11-120", lambda: _sparse(11, 120), 3, 4, 2304),
+    # UpperBoundOnly at value 25 after 10 000 nodes before the escalation
+    ("sparse-9-100", lambda: _sparse(9, 100), 1, 24, 2414),
+    # needed 8134 nodes before the escalation
+    ("sparse-38-80", lambda: _sparse(38, 80), 1, 18, 3190),
     ("petersen", petersen, 1, 3, 11),
     ("cycle-25", lambda: cycle(25), 1, 9, 3),
     ("clique-expanded-40-3", lambda: clique_expanded_path(40, 3), 2, 8, 0),
