@@ -162,8 +162,7 @@ def bounds_report(g: Graph, k: int, **budget) -> BoundsReport:
     met = g.metrics()
     n = g.n
     window = 2 * k + 1
-    degrees = list(map(len, g.adj))  # read once, for both extremes
-    min_deg, max_deg = min(degrees, default=0), max(degrees, default=0)
+    min_deg, max_deg = g.min_degree(), g.max_degree()
 
     if met.connected and n:
         lbd = max(1, lb_diameter(met.diameter, k))

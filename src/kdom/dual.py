@@ -5,9 +5,8 @@ once to this module: a subgradient on the Lagrangian of its k-ball set cover
 (Fisher, "The Lagrangian relaxation method for solving integer programming
 problems", Mgmt. Sci. 1981) gives integer dual weights that bound every node,
 and Beasley's heuristic ("A Lagrangian heuristic for set-covering problems",
-NRL 1990) gives covers that may replace the incumbent. The solver imports it
-only when a search escalates, so solves that never do pay nothing for it.
-Everything here works in the solver's local labels (positions 0..m-1).
+NRL 1990) gives covers that may replace the incumbent. Everything here works
+in the solver's local labels (positions 0..m-1).
 """
 
 from __future__ import annotations
@@ -16,8 +15,7 @@ import math
 from itertools import compress, repeat
 from operator import add, getitem, itemgetter, mul, not_, sub
 
-from .solver import SCALE, _iter_bits
-
+SCALE = 1 << 24  # the unit of the integer dual weights
 _ITERATIONS = 70
 _PATIENCE = 10  # non-improving steps before the step size halves
 _MIN_STEP = 0.25
@@ -35,7 +33,7 @@ def escalate(order, balls, start, best):
     pos = {v: p for p, v in enumerate(order)}
     members = [list(map(pos.__getitem__, balls[v])) for v in order]
     del pos
-    cands = list(_iter_bits(start))
+    cands = [p for p in range(len(order)) if start >> p & 1]
     y, cover, lower = lagrangian(members, cands, best)
     ranked = sorted((SCALE - sum(map(y.__getitem__, members[c])), c) for c in cands)
     # Past 256 candidates they are banned in at most 256 groups of equal size,
@@ -51,20 +49,8 @@ def escalate(order, balls, start, best):
 
 
 def weigher(y):
-    """A function summing ``y`` over the set bits of a mask. Up to 256
-    vertices it adds one precomputed sum per byte of the mask, whatever its
-    bit count; above that, where the tables would outweigh the few bits of a
-    ball, it walks the bits."""
-    if len(y) > 256:
-        def weigh(mask):
-            total = 0
-            while mask:
-                low = mask & -mask
-                total += y[low.bit_length() - 1]
-                mask ^= low
-            return total
-
-        return weigh
+    """A function summing ``y`` over the set bits of a mask: one precomputed
+    sum per byte of the mask, whatever its bit count."""
     tables = []
     for start in range(0, len(y), 8):
         part = y[start:start + 8] + [0] * 8

@@ -35,13 +35,14 @@ from bisect import bisect_right
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
+from . import dual
+from .dual import SCALE
 from .errors import DisconnectedInput, InvalidOrder, TooLarge
 from .graph import Graph
 
 DEFAULT_BUDGET_NODES = 10_000_000
 DEFAULT_BUDGET_SECONDS = 30.0
 ORACLE_MAX_N = 16
-SCALE = 1 << 24  # the unit of the integer dual weights of an escalated search
 _ESCALATION_DELAY = 150  # nodes per vertex of average ball size a search explores before escalating
 
 
@@ -377,8 +378,6 @@ def _solve_component(vertices, balls, nodes_left, deadline):
                 stopped = True
                 break
             if nodes & 2047 == 2047 and y is None and _escalation_due(nodes + 1, ball):
-                from . import dual  # compiled only once some search escalates
-
                 y, cover, lower, costs, dear = dual.escalate(order, balls, start, best)
                 if cover is not None:
                     best, best_set = len(cover), sum(1 << p for p in cover)

@@ -1,8 +1,4 @@
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -25,8 +21,8 @@ from kdom import (
     path,
 )
 import kdom.dual
-from kdom.dual import lagrangian, weigher
-from kdom.solver import ORACLE_MAX_N, SCALE, _greedy_cover, _undominated
+from kdom.dual import SCALE, lagrangian, weigher
+from kdom.solver import ORACLE_MAX_N, _greedy_cover, _undominated
 
 
 def _masks(balls):
@@ -509,22 +505,7 @@ class TestEscalation:
         assert cert.lower_bound_used == 2 * alone.lower_bound_used
         assert cert.upper_bound_used == 2 * alone.upper_bound_used
 
-    def test_dual_module_loads_only_when_a_search_escalates(self):
-        # the escalation's code is compiled only by processes that need it
-        code = (
-            "import sys, kdom\n"
-            "kdom.gamma_k_exact(kdom.cycle(40), 1)\n"
-            "assert 'kdom.dual' not in sys.modules\n"
-            f"kdom.gamma_k_exact(kdom.Graph(60, {sorted(_sparse(5, 60).edges)}), 1)\n"
-            "assert 'kdom.dual' in sys.modules\n"
-        )
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        subprocess.run([sys.executable, "-c", code], env=env, check=True)
-
     def test_weigher_sums_the_set_bits(self):
-        # byte tables up to 256 vertices, a walk over the bits above
         rng = random.Random(45)
         for m in (1, 9, 256, 257, 300):
             y = [rng.randrange(SCALE + 1) for _ in range(m)]
