@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 from .constructions import direct_product
 from .errors import BudgetExceeded, DisconnectedInput, InfiniteDiameter, InfiniteRadius
-from .graph import Graph
+from .graph import Graph, finite
 from .solver import Certificate, _check_k, gamma_k_exact, packing_lower
 
 
@@ -118,9 +118,6 @@ class BoundsReport:
     verdict: str
 
     def to_dict(self) -> dict:
-        def finite(x: float) -> float | None:
-            return None if isinstance(x, float) and math.isinf(x) else x
-
         return {
             "k": self.k,
             "n": self.n,

@@ -35,7 +35,7 @@ from .constructions import (
 )
 from .errors import BudgetExceeded, KdomError
 from .fuzz import fuzz as run_fuzz
-from .graph import INF, Graph
+from .graph import Graph, finite
 from .io import parse_edge_list, serialize_edge_list
 from .solver import DEFAULT_BUDGET_NODES, DEFAULT_BUDGET_SECONDS, gamma_k_exact
 
@@ -68,10 +68,6 @@ def _budget(args) -> dict:
     return {"budget_nodes": args.budget_nodes, "budget_seconds": args.budget_seconds}
 
 
-def _finite(x: float) -> float | None:
-    return None if x == INF else x
-
-
 def _cmd_gamma(args) -> tuple[dict, int]:
     (g,) = _read_graphs(args, 1)
     certs = [gamma_k_exact(g, k, **_budget(args)) for k in args.k]
@@ -92,10 +88,10 @@ def _cmd_metrics(args) -> tuple[dict, int]:
         "min_degree": g.min_degree(),
         "max_degree": g.max_degree(),
         "connected": met.connected,
-        "diameter": _finite(met.diameter),
-        "radius": _finite(met.radius),
-        "girth": _finite(met.girth),
-        "eccentricity": [_finite(e) for e in met.ecc],
+        "diameter": finite(met.diameter),
+        "radius": finite(met.radius),
+        "girth": finite(met.girth),
+        "eccentricity": [finite(e) for e in met.ecc],
         "shortest_cycle": list(cyc) if cyc else None,
     }
     return doc, 0

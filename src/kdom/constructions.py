@@ -117,6 +117,8 @@ def project(vertices: Iterable[int], side: str, h_order: int) -> set[int]:
     vertices: the flat index f stands for (f // h_order, f % h_order)."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if h_order < 1:
+        raise InvalidOrder(f"h_order must be >= 1, got {h_order}")
     out = set()
     for v in vertices:
         if v < 0:

@@ -6,7 +6,8 @@ once to this module: a subgradient on the Lagrangian of its k-ball set cover
 problems", Mgmt. Sci. 1981) gives integer dual weights that bound every node,
 and Beasley's heuristic ("A Lagrangian heuristic for set-covering problems",
 NRL 1990) gives covers that may replace the incumbent. Everything here works
-in the solver's local labels (positions 0..m-1).
+in the solver's local labels (positions 0..m-1): the solver relabels the
+component and hands over each ball as the list of positions in it.
 """
 
 from __future__ import annotations
@@ -23,17 +24,14 @@ _DEFLECTION = 0.5  # share of the last direction kept in the next
 _WORK = 100_000  # cap on the ball entries read, over all iterations
 
 
-def escalate(order, balls, start, best):
-    """The dual data of a search escalating with incumbent size ``best``, in
-    the labels of ``order``: ``lagrangian`` over the candidates ``start``,
-    then their reduced costs. Returns (y, cover, lower, costs, dear):
-    ``costs`` ascending, and ``dear[i]`` the union of the candidates from the
-    i-th on, so ``dear[bisect_right(costs, slack)]`` holds candidates whose
-    reduced costs exceed ``slack``: all of them up to 256 candidates."""
-    pos = {v: p for p, v in enumerate(order)}
-    members = [list(map(pos.__getitem__, balls[v])) for v in order]
-    del pos
-    cands = [p for p in range(len(order)) if start >> p & 1]
+def escalate(members, cands, best):
+    """The dual data of a search escalating with incumbent size ``best``:
+    ``lagrangian`` over the candidate positions ``cands`` of the balls
+    ``members``, then their reduced costs. Returns (y, cover, lower, costs,
+    dear): ``costs`` ascending, and ``dear[i]`` the union of the candidates
+    from the i-th on, so ``dear[bisect_right(costs, slack)]`` holds
+    candidates whose reduced costs exceed ``slack``: all of them up to 256
+    candidates."""
     y, cover, lower = lagrangian(members, cands, best)
     ranked = sorted((SCALE - sum(map(y.__getitem__, members[c])), c) for c in cands)
     # Past 256 candidates they are banned in at most 256 groups of equal size,

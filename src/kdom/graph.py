@@ -29,6 +29,11 @@ from .errors import IndexOutOfRange, SimplenessViolation
 INF = math.inf
 
 
+def finite(x: float) -> float | None:
+    """``x`` as JSON reports it: ``None`` for ``INF``, which JSON cannot hold."""
+    return None if x == INF else x
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 

@@ -297,7 +297,7 @@ def _undominated(vertices: tuple[int, ...], balls: tuple[tuple[int, ...], ...]) 
     return keep
 
 
-def _first_descent(ball, reach, order, full):
+def _first_descent(ball, start, order, full):
     """The search's first dive with no bounding, in local labels: each vertex
     still uncovered, in label order (fewest candidates first), takes the
     candidate with the most fresh coverage, ties to the lowest vertex."""
@@ -305,18 +305,10 @@ def _first_descent(ball, reach, order, full):
     chosen = 0
     while uncovered:
         p = (uncovered & -uncovered).bit_length() - 1
-        c = min(_iter_bits(reach[p]), key=lambda c: (-(ball[c] & uncovered).bit_count(), order[c]))
+        c = min(_iter_bits(ball[p] & start), key=lambda c: (-(ball[c] & uncovered).bit_count(), order[c]))
         uncovered &= ~ball[c]
         chosen |= 1 << c
     return chosen
-
-
-def _escalation_due(nodes, ball):
-    """Whether a search that has reached node ``nodes`` escalates: once it has
-    explored ``_ESCALATION_DELAY`` nodes per vertex of average ball size. The
-    escalation reads the balls up to 70 times, so a search with large balls
-    that would end soon would pay more for it than for itself."""
-    return nodes * len(ball) >= _ESCALATION_DELAY * sum(map(int.bit_count, ball))
 
 
 def _solve_component(vertices, balls, nodes_left, deadline):
@@ -327,20 +319,21 @@ def _solve_component(vertices, balls, nodes_left, deadline):
     Vertices are relabelled 0..m-1 by ascending candidate count, so walking
     the bits of the uncovered mask visits them in the packing order. The
     local bitsets are built here from the ball tuples and live only for this
-    search. On path-like labellings each table costs about m²/16 bytes, the
-    ``1 << p`` map that builds them included, so each map is freed once it
-    has been used and at most two tables are alive at once.
+    search. On path-like labellings each table costs about m²/16 bytes: the
+    ``1 << p`` map and ``ball`` while building, then ``ball`` alone during the
+    search.
 
-    A long search escalates once (``_escalation_due``, ``dual.escalate``): dual
-    weights ``y`` over the root candidates and perhaps a smaller incumbent.
-    The weights are valid at every node because they fit every root
-    candidate's ball, and each node allows only root candidates. From then
-    on every stack entry carries the weight of its uncovered vertices,
-    lowered by each newly covered one, so no node scans its uncovered set to
-    weigh it. A node is cut when that weight needs ``room`` more candidates,
-    a candidate is dropped at a node when its reduced cost would, and the
-    open nodes the weights cut are dropped from the stack at each new
-    incumbent; a stack is cleared once the Lagrangian bound meets the
+    Each stack entry is (covered, allowed, chosen), its size the bit count of
+    ``chosen``. A long search escalates once, at a clock check by which it
+    has explored ``_ESCALATION_DELAY`` nodes per vertex of average ball size:
+    ``dual.escalate`` gives dual weights ``y`` that fit every root
+    candidate's ball, so they bound every node (each allows only root
+    candidates), and perhaps a smaller incumbent. From then on a popped node
+    weighs its uncovered vertices as ``total - weigh(covered)``; it is cut
+    when that weight needs ``room`` more candidates, and a candidate is
+    dropped at it when its reduced cost would. ``prune()`` weighs the open
+    entries and drops those the weights cut, at the escalation and at each
+    new incumbent, and clears the stack once the Lagrangian bound meets the
     incumbent. Past the escalation the scan stops at the first vertex with
     two candidates left, since the weights now do the cutting that the rest
     of the packing scan did."""
@@ -351,7 +344,6 @@ def _solve_component(vertices, balls, nodes_left, deadline):
     ball = [sum(map(bit.__getitem__, balls[v])) for v in order]
     start = sum(map(bit.__getitem__, cands))
     del bit
-    reach = [b & start for b in ball]  # the candidates within distance k
     full = (1 << len(order)) - 1
     picked = _greedy_cover(ball, order)
     best_set = sum(1 << p for p in picked)
@@ -368,22 +360,24 @@ def _solve_component(vertices, balls, nodes_left, deadline):
         if lower > limit:
             stack.clear()  # the incumbent is optimal
         else:
-            stack[:] = [e for e in stack if e[4] <= limit - e[2] * SCALE]
+            stack[:] = [e for e in stack if total - weigh(e[0]) <= limit - e[2].bit_count() * SCALE]
 
-    stack = [(0, start, 0, 0, 0)]  # (covered, allowed, size, chosen, weight of the uncovered)
+    stack = [(0, start, 0)]  # (covered, allowed, chosen)
     while stack:
-        covered, allowed, size, chosen, weight = stack.pop()
+        covered, allowed, chosen = stack.pop()
+        size = chosen.bit_count()
         if size:
             if nodes >= nodes_left or nodes & 2047 == 2047 and time.monotonic() > deadline:
                 stopped = True
                 break
-            if nodes & 2047 == 2047 and y is None and _escalation_due(nodes + 1, ball):
-                y, cover, lower, costs, dear = dual.escalate(order, balls, start, best)
+            if (nodes & 2047 == 2047 and y is None
+                    and (nodes + 1) * len(ball) >= _ESCALATION_DELAY * sum(map(int.bit_count, ball))):
+                y, cover, lower, costs, dear = dual.escalate(
+                    [list(_iter_bits(b)) for b in ball], list(_iter_bits(start)), best)
                 if cover is not None:
                     best, best_set = len(cover), sum(1 << p for p in cover)
                 weigh, total = dual.weigher(y), sum(y)
-                stack.append((covered, allowed, size, chosen, weight))  # this node, now weighed too
-                stack[:] = [(c, a, s, ch, total - weigh(c)) for c, a, s, ch, _ in stack]
+                stack.append((covered, allowed, chosen))  # this node, to be weighed too
                 prune()
                 continue
             nodes += 1
@@ -397,10 +391,10 @@ def _solve_component(vertices, balls, nodes_left, deadline):
         if room <= 1:
             continue
         if y is not None:
-            slack = (room - 1) * SCALE - weight
+            slack = (room - 1) * SCALE - (total - weigh(covered))
             if slack < 0:
                 continue
-            # a cover through candidate j needs weight + its reduced cost <= (room - 1) * SCALE
+            # a cover through candidate j needs the uncovered weight + its reduced cost <= (room - 1) * SCALE
             allowed &= ~dear[bisect_right(costs, slack)]
         count = packed = branch = forced = 0
         fewest = len(order) + 1
@@ -408,7 +402,7 @@ def _solve_component(vertices, balls, nodes_left, deadline):
         while rest:
             low = rest & -rest
             rest ^= low
-            a = reach[low.bit_length() - 1] & allowed
+            a = ball[low.bit_length() - 1] & allowed  # allowed holds only candidates
             if not a:
                 break  # no allowed candidate reaches this vertex
             if not a & packed:
@@ -427,23 +421,20 @@ def _solve_component(vertices, balls, nodes_left, deadline):
             if not size and upper == greedy:
                 # the root needs search: start from the first descent if it is
                 # smaller (on a tie the greedy set stays), scanning the root again
-                descent = _first_descent(ball, reach, order, full)
+                descent = _first_descent(ball, start, order, full)
                 if descent.bit_count() < best:
                     best_set = descent
                     best = upper = descent.bit_count()
-                    stack.append((covered, allowed, size, chosen, weight))
+                    stack.append((covered, allowed, chosen))
                     continue
             if forced:
                 for p in _iter_bits(forced):
                     covered |= ball[p]
-                if y is not None:
-                    weight -= weigh(covered & uncovered)
-                stack.append((covered, allowed, size + forced.bit_count(), chosen | forced, weight))
+                stack.append((covered, allowed, chosen | forced))
             else:
                 kids = []
                 for p in sorted(_iter_bits(branch), key=lambda p: (-(ball[p] & uncovered).bit_count(), order[p])):
-                    w = weight - weigh(ball[p] & uncovered) if y is not None else 0
-                    kids.append((covered | ball[p], allowed, size + 1, chosen | 1 << p, w))
+                    kids.append((covered | ball[p], allowed, chosen | 1 << p))
                     allowed ^= 1 << p
                 stack.extend(reversed(kids))
         if not size:

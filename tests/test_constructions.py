@@ -209,6 +209,11 @@ class TestProjection:
         with pytest.raises(IndexOutOfRange):
             project([-1], "left", 3)
 
+    @pytest.mark.parametrize("vertices, h_order", [([1], 0), ([1, 5], -3)])
+    def test_order_below_one_rejected(self, vertices, h_order):
+        with pytest.raises(InvalidOrder, match="h_order must be >= 1"):
+            project(vertices, "left", h_order)
+
 
 class TestPreservingSpanningTree:
     def test_connectivity_check_skips_metrics(self):

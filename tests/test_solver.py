@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 
 import pytest
 
@@ -21,7 +22,7 @@ from kdom import (
     path,
 )
 import kdom.dual
-from kdom.dual import SCALE, lagrangian, weigher
+from kdom.dual import SCALE, escalate, lagrangian, weigher
 from kdom.solver import ORACLE_MAX_N, _greedy_cover, _undominated
 
 
@@ -454,6 +455,32 @@ SHORT_SOLVES = [
 ]
 
 
+# certificates of solves that escalate, pinned so that any change to the
+# escalated search shows: (id, graph, k, budget_nodes, to_dict(),
+# upper_bound_used)
+ESCALATED_SOLVES = [
+    ("sparse-9-100", lambda: _sparse(9, 100), 1, 10_000, {
+        "k": 1, "gamma_k": 24,
+        "set": [1, 2, 5, 6, 7, 11, 14, 21, 24, 26, 27, 34, 45, 47, 51, 53, 57, 63, 68, 69, 71, 77, 85, 87],
+        "status": "Exact", "lower_bound_used": 21, "nodes_explored": 2414, "method": "BranchAndBound",
+        "components": 1,
+    }, 25),
+    ("sparse-2-90", lambda: _sparse(2, 90), 2, 10_000, {
+        "k": 2, "gamma_k": 6, "set": [0, 10, 11, 14, 35, 57], "status": "Exact", "lower_bound_used": 3,
+        "nodes_explored": 4229, "method": "BranchAndBound", "components": 1,
+    }, 6),
+    # the Beasley cover lowers the incumbent 31 -> 30 at the escalation, the
+    # search then finds 29 and prunes again before its budget runs out
+    ("sparse-44-130", lambda: _sparse(44, 130), 1, 6000, {
+        "k": 1, "gamma_k": 29,
+        "set": [1, 3, 8, 9, 11, 12, 15, 19, 24, 25, 28, 33, 35, 36, 40, 43, 47, 59, 66, 67, 84, 86, 89, 95, 100,
+                107, 113, 124, 128],
+        "status": "UpperBoundOnly", "lower_bound_used": 23, "nodes_explored": 6000, "method": "BranchAndBound",
+        "components": 1,
+    }, 31),
+]
+
+
 class TestEscalation:
     """A search still open at node 2048 escalates once to Lagrangian dual
     weights and a Lagrangian incumbent."""
@@ -485,6 +512,16 @@ class TestEscalation:
         monkeypatch.setattr(kdom.dual, "lagrangian", _no_lagrangian)
         assert gamma_k_exact(build(), 1).to_dict() == expected
 
+    @pytest.mark.parametrize("build, k, budget, expected, upper", [r[1:] for r in ESCALATED_SOLVES],
+                             ids=[r[0] for r in ESCALATED_SOLVES])
+    def test_escalated_solves_unchanged(self, monkeypatch, build, k, budget, expected, upper):
+        calls = []
+        original = kdom.dual.lagrangian
+        monkeypatch.setattr(kdom.dual, "lagrangian", lambda *a: calls.append(a) or original(*a))
+        cert = gamma_k_exact(build(), k, budget_nodes=budget)
+        assert len(calls) == 1
+        assert cert.to_dict() == expected and cert.upper_bound_used == upper
+
     def test_time_budget_stops_before_escalating(self, monkeypatch):
         monkeypatch.setattr(kdom.dual, "lagrangian", _no_lagrangian)
         cert = gamma_k_exact(_sparse(5, 60), 1, budget_seconds=0)
@@ -513,6 +550,30 @@ class TestEscalation:
             for _ in range(20):
                 mask = rng.getrandbits(m)
                 assert weigh(mask) == sum(w for i, w in enumerate(y) if mask >> i & 1)
+
+    @pytest.mark.parametrize("build", [lambda: _sparse(47, 120), lambda: random_tree(random.Random(5), 600)],
+                             ids=["sparse-120", "tree-600"])
+    def test_ban_masks_hold_only_dear_candidates(self, build):
+        # 114 candidates, each banned alone; 299 in the tree, banned in pairs
+        g = build()
+        balls = g.balls(1)
+        members = [list(b) for b in balls]  # the identity labelling
+        cands = _undominated(tuple(range(g.n)), balls)
+        y, _, _, costs, dear = escalate(members, cands, len(_greedy_cover(_masks(balls), range(g.n))))
+        reduced = {c: SCALE - sum(y[v] for v in members[c]) for c in cands}
+        width = -(-len(cands) // 256)
+        assert len(costs) <= 256 and len(dear) == len(costs) + 1 and len(set(reduced.values())) > 2
+        for slack in {-1, 0, SCALE, *reduced.values(), *(r - 1 for r in reduced.values())}:
+            mask = dear[bisect_right(costs, slack)]
+            banned = {c for c in cands if mask >> c & 1}
+            assert mask == sum(1 << c for c in banned)
+            assert all(reduced[c] > slack for c in banned), slack
+            dearer = {c for c in cands if reduced[c] > slack}
+            if width == 1:
+                assert banned == dearer, slack
+            else:
+                # only the group whose costs straddle the slack stays allowed
+                assert len(dearer - banned) < width, slack
 
     def test_large_tree_proved_after_escalating(self):
         # 3000 vertices: the work cap keeps the subgradient to a few passes over
