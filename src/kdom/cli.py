@@ -57,6 +57,8 @@ def _read_graphs(args, expected: int) -> list[Graph]:
         return [parse_edge_list(sys.stdin.read(), strict=args.strict)]
     if len(paths) != expected:
         raise ValueError(f"this command needs exactly {expected} --in graph(s)")
+    if paths.count("-") > 1:
+        raise ValueError("stdin can be read once: give '--in -' at most once")
     graphs = []
     for p in paths:
         text = sys.stdin.read() if p == "-" else Path(p).read_text(encoding="utf-8")

@@ -12,6 +12,7 @@ property of vertices that k-dominate a large slice of a shortest cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -105,10 +106,9 @@ def direct_product(g: Graph, h: Graph) -> Graph:
     if 2 * g.m * h.m > MAX_EDGES:
         raise TooLarge(f"direct product of {2 * g.m * h.m} edges is above the cap of {MAX_EDGES}")
     edges = []
-    for g1, g2 in g.edges:
-        for h1, h2 in h.edges:
-            edges.append((g1 * h.n + h1, g2 * h.n + h2))
-            edges.append((g1 * h.n + h2, g2 * h.n + h1))
+    for (g1, g2), (h1, h2) in product(g.edges, h.edges):  # reads each edge set once
+        edges.append((g1 * h.n + h1, g2 * h.n + h2))
+        edges.append((g1 * h.n + h2, g2 * h.n + h1))
     return Graph(g.n * h.n, edges)
 
 

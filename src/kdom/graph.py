@@ -37,29 +37,29 @@ def finite(x: float) -> float | None:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "edges", "_metrics", "_balls", "_components")
+    __slots__ = ("n", "m", "adj", "_metrics", "_balls", "_components")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        """Build a graph from already-clean edges (no loops, no duplicates).
+        """Build a graph from loop-free edges; repeats, in either orientation, collapse.
 
         Most callers should use :func:`from_edge_list`, which validates and
         canonicalizes raw input.
         """
         self.n = n
-        edge_set = frozenset((u, v) if u < v else (v, u) for u, v in edges)
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edge_set:
+        for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
-        self.edges = edge_set
-        self.adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        self.adj = tuple(tuple(sorted(set(nbrs))) for nbrs in adj)
+        self.m = sum(map(len, self.adj)) // 2
         self._metrics: Metrics | None = None
         self._balls: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._components: tuple[tuple[int, ...], ...] | None = None
 
     @property
-    def m(self) -> int:
-        return len(self.edges)
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The ``(lower, higher)`` edge pairs, read off ``adj`` in O(m) on each read."""
+        return frozenset((u, v) for u, nbrs in enumerate(self.adj) for v in nbrs if u < v)
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
@@ -74,7 +74,7 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return (min(u, v), max(u, v)) in self.edges
+        return v in self.adj[u]
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -83,10 +83,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and self.adj == other.adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

@@ -27,6 +27,9 @@ def parse_edge_list(text: str, strict: bool = True) -> Graph:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        # int() also takes '_', '+' and non-ASCII digits, which the format does not
+        if "_" in line or "+" in line or not line.isascii():
+            raise ParseError("fields must be ASCII decimal integers", lineno)
         fields = line.split()
         if n is None:
             if len(fields) != 2:

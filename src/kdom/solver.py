@@ -10,13 +10,7 @@ bound at every node, an explicit stack and no distance matrix) for everything
 at desk scale. Both return a :class:`Certificate` whose set can be re-verified
 independently with :func:`is_k_dominating`.
 
-A long branch-and-bound search escalates once, at one of its clock checks
-(every 2048 nodes), to a Lagrangian dual bound (Fisher 1981) and a Lagrangian
-incumbent (Beasley 1990). The escalation is charged no search node and the
-clock does not interrupt it; it changes neither ``lower_bound_used`` (the
-root packing bound) nor ``upper_bound_used`` (the starting cover), so no JSON
-key or schema changes. A search that ends before node 2048 takes the same
-path as without it.
+A long search escalates once to a Lagrangian bound; see :func:`gamma_k_exact`.
 
 All search is single-threaded and fully deterministic: every tie is broken by
 a fixed vertex order, and incumbents are replaced only on strict improvement.
@@ -224,17 +218,10 @@ def gamma_k_exact(
     after that check, if it has explored at least 150 nodes per vertex of
     average ball size (``_ESCALATION_DELAY``): at node 2048 for balls of at
     most about 13.6 vertices on average, later for larger ones, since the
-    escalation reads the balls up to 70 times. A subgradient on the
-    Lagrangian of the component's k-ball cover gives integer dual weights
-    under which no candidate ball weighs more than ``SCALE``, and its
-    Lagrangian covers may replace the incumbent. From then on a node is also
-    cut when its uncovered vertices weigh more than ``(room - 1) * SCALE``
-    (``room`` = incumbent size - node size), a candidate is dropped at a node
-    when that weight plus its reduced cost does (at the root: Σy + reduced
-    cost > (incumbent - 1) * SCALE), and the scan stops at the first vertex
-    with two candidates left and branches there. The escalation is charged
-    no node and is not interrupted by the clock; a search that ends before
-    node 2048 never escalates.
+    escalation reads the balls up to 70 times. It adds a Lagrangian dual
+    bound (Fisher 1981) and Lagrangian incumbents (Beasley 1990). The
+    escalation is charged no node and is not interrupted by the clock; a
+    search that ends before node 2048 never escalates.
 
     Each component's search starts from the smaller of two covers: the
     greedy set cover (largest fresh coverage first) and the search's own
@@ -324,19 +311,21 @@ def _solve_component(vertices, balls, nodes_left, deadline):
     search.
 
     Each stack entry is (covered, allowed, chosen), its size the bit count of
-    ``chosen``. A long search escalates once, at a clock check by which it
-    has explored ``_ESCALATION_DELAY`` nodes per vertex of average ball size:
-    ``dual.escalate`` gives dual weights ``y`` that fit every root
-    candidate's ball, so they bound every node (each allows only root
-    candidates), and perhaps a smaller incumbent. From then on a popped node
-    weighs its uncovered vertices as ``total - weigh(covered)``; it is cut
-    when that weight needs ``room`` more candidates, and a candidate is
-    dropped at it when its reduced cost would. ``prune()`` weighs the open
-    entries and drops those the weights cut, at the escalation and at each
-    new incumbent, and clears the stack once the Lagrangian bound meets the
-    incumbent. Past the escalation the scan stops at the first vertex with
-    two candidates left, since the weights now do the cutting that the rest
-    of the packing scan did."""
+    ``chosen``. At the escalation (:func:`gamma_k_exact` says when),
+    ``dual.escalate`` runs a subgradient on the Lagrangian of the component's
+    k-ball cover for integer dual weights ``y`` under which no root
+    candidate's ball weighs more than ``SCALE``, so they bound every node
+    (each allows only root candidates); its Lagrangian covers may replace the
+    incumbent. From then on a popped node weighs its uncovered vertices as
+    ``total - weigh(covered)``; it is cut when that weight is above
+    ``(room - 1) * SCALE`` (``room`` = incumbent size - node size), and a
+    candidate is dropped at it when that weight plus its reduced cost is (at
+    the root: Σy + reduced cost > (incumbent - 1) * SCALE). ``prune()``
+    weighs the open entries and drops those the weights cut, at the
+    escalation and at each new incumbent, and clears the stack once the
+    Lagrangian bound meets the incumbent. Past the escalation the scan stops
+    at the first vertex with two candidates left and branches there, since
+    the weights now do the cutting that the rest of the packing scan did."""
     cands = _undominated(vertices, balls)
     is_cand = set(cands)
     order = sorted(vertices, key=lambda w: (len(is_cand.intersection(balls[w])), w))

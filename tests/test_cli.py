@@ -129,6 +129,11 @@ class TestGammaCommand:
         code = main(["gamma", "--in", str(p)])
         assert code == 2
 
+    def test_non_ascii_decimal_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("3 1\n+0 1\n"))
+        assert main(["gamma"]) == 2
+        assert "ASCII decimal" in capsys.readouterr().err
+
     def test_vertex_cap_exit_2(self, capsys, tmp_path):
         p = tmp_path / "huge.txt"
         p.write_text(f"{kdom.io.MAX_VERTICES + 1} 0\n")
@@ -206,6 +211,13 @@ class TestProductCommand:
         a = tmp_path / "p4.txt"
         a.write_text(serialize_edge_list(path(4)))
         assert main(["product", "--in", str(a)]) == 2
+
+    @pytest.mark.parametrize("command", [["product"], ["construct", "--family", "product"]])
+    def test_stdin_given_twice_exit_2(self, capsys, monkeypatch, command):
+        monkeypatch.setattr("sys.stdin", io.StringIO("2 1\n0 1\n"))
+        assert main([*command, "--in", "-", "--in", "-"]) == 2
+        assert capsys.readouterr().err == "kdom: stdin can be read once: give '--in -' at most once\n"
+        assert sys.stdin.read() == "2 1\n0 1\n"  # rejected before reading
 
     @pytest.mark.parametrize("command", [["product"], ["construct", "--family", "product"]])
     def test_vertex_cap_exit_2(self, capsys, tmp_path, command):

@@ -94,9 +94,12 @@ class TestFromEdgeList:
     def test_adjacency_views_agree(self):
         rng = random.Random(11)
         for _ in range(20):
-            g = random_graph(rng, rng.randint(1, 12), rng.random())
+            n, p = rng.randint(1, 12), rng.random()
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            g = Graph(n, pairs)
             for v in range(g.n):
-                assert g.adj[v] == tuple(sorted(u for e in g.edges if v in e for u in e if u != v))
+                assert g.adj[v] == tuple(sorted(u for e in pairs if v in e for u in e if u != v))
+            assert g.edges == frozenset(pairs) and g.m == len(pairs)
             assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m
 
     def test_build_memory_linear_in_n(self):
@@ -113,11 +116,25 @@ class TestFromEdgeList:
             peaks.append(peak)
         assert peaks[1] < 6 * peaks[0]
 
+    def test_edges_stored_once(self):
+        # only the adjacency tuples stay: a frozenset of edge tuples beside
+        # them kept about 184 bytes per edge here, the tuples alone about 41
+        tracemalloc.start()
+        try:
+            g = clique_expanded_path(2000, 3)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 80 * g.m
+
     def test_equality_and_hash(self):
         a = from_edge_list(3, [(0, 1), (1, 2)])
         b = from_edge_list(3, [(2, 1), (1, 0)])
         assert a == b and hash(a) == hash(b)
         assert a != from_edge_list(3, [(0, 1)])
+        assert a != from_edge_list(4, [(0, 1), (1, 2)])
+        repeated = Graph(3, [(0, 1), (1, 0), (0, 1)])
+        assert repeated.m == 1 and repeated == Graph(3, [(0, 1)])
 
 
 class TestBfsDistances:

@@ -56,6 +56,15 @@ class TestParse:
         with pytest.raises(ParseError, match="line 3"):
             parse_edge_list("3 2\n0 1\n1 2 3\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("1_1 0\n", 1),  # int() reads 11
+        ("3 1\n0 \uff12\n", 2),  # a fullwidth 2, which int() reads as 2
+        ("3 1\n+0 1\n", 2),
+    ])
+    def test_only_ascii_decimal_fields(self, text, line):
+        with pytest.raises(ParseError, match=f"line {line}: .*ASCII decimal"):
+            parse_edge_list(text)
+
     def test_count_mismatch(self):
         with pytest.raises(CountMismatch):
             parse_edge_list("3 2\n0 1\n")
