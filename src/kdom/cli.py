@@ -17,6 +17,7 @@ where exactness was required; 4 an internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -245,8 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`, once per process; no handler mutates the shared ``--k`` defaults."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.monotonic()
     try:
         with warnings.catch_warnings():  # each library warning becomes one "kdom: ..." line

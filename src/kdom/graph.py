@@ -42,15 +42,25 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         """Build a graph from loop-free edges; repeats, in either orientation, collapse.
 
-        Most callers should use :func:`from_edge_list`, which validates and
-        canonicalizes raw input.
+        An endpoint outside [0, n) raises :class:`IndexOutOfRange` and a loop
+        :class:`SimplenessViolation`. Most callers should use
+        :func:`from_edge_list`, which validates and canonicalizes raw input.
         """
         self.n = n
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
+            try:
+                adj[u].append(v)
+                adj[v].append(u)
+            except IndexError:
+                raise IndexOutOfRange(f"edge ({u},{v}) uses a vertex outside [0, {n})") from None
         self.adj = tuple(tuple(sorted(set(nbrs))) for nbrs in adj)
+        # a negative endpoint indexed adj from the end but heads its partner's tuple
+        for u, nbrs in enumerate(self.adj):
+            if nbrs and nbrs[0] < 0:
+                raise IndexOutOfRange(f"vertex {nbrs[0]} not in [0, {n})")
+            if u in nbrs:
+                raise SimplenessViolation(f"self-loop at vertex {u}")
         self.m = sum(map(len, self.adj)) // 2
         self._metrics: Metrics | None = None
         self._balls: dict[int, tuple[tuple[int, ...], ...]] = {}

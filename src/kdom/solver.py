@@ -139,22 +139,22 @@ def gamma_k_oracle(g: Graph, k: int) -> Certificate:
     raise AssertionError("V(G) itself must dominate")  # pragma: no cover
 
 
-def _greedy_cover(ball: list[int], order: Sequence[int]) -> list[int]:
+def _greedy_cover(ball: list[int], order: Sequence[int]) -> int:
     """Greedy set-cover of one component in local labels, where ``ball[p]`` is
     the k-ball bitset of vertex ``order[p]``: take the largest fresh coverage,
     ties to the lowest vertex, until all are covered; returns the chosen
-    positions in the order taken. Coverage only shrinks, so stale heap
-    entries are upper bounds (lazy greedy)."""
+    positions as a mask. Coverage only shrinks, so stale heap entries are
+    upper bounds (lazy greedy)."""
     heap = [(-b.bit_count(), v, p) for p, (b, v) in enumerate(zip(ball, order))]
     heapq.heapify(heap)
     uncovered = (1 << len(ball)) - 1
-    chosen = []
+    chosen = 0
     while uncovered:
         stored, v, p = heapq.heappop(heap)
         gain = (ball[p] & uncovered).bit_count()
         if gain == -stored:
             uncovered &= ~ball[p]
-            chosen.append(p)
+            chosen |= 1 << p
         elif gain:
             heapq.heappush(heap, (-gain, v, p))
     return chosen
@@ -225,9 +225,8 @@ def gamma_k_exact(
 
     Each component's search starts from the smaller of two covers: the
     greedy set cover (largest fresh coverage first) and the search's own
-    first descent with no bounding; on a tie the greedy set stays. The
-    descent is only computed when the root packing bound falls short of the
-    greedy value, since otherwise it cannot be smaller.
+    first descent with no bounding; on a tie the greedy set stays. Both
+    covers are computed before the search, which scans the root once.
     ``lower_bound_used`` sums the root packing bound of each component, whose
     scan stops at the starting value, and ``upper_bound_used`` sums those
     starting values; with ``budget_nodes=0`` the set is the starting cover.
@@ -334,9 +333,9 @@ def _solve_component(vertices, balls, nodes_left, deadline):
     start = sum(map(bit.__getitem__, cands))
     del bit
     full = (1 << len(order)) - 1
-    picked = _greedy_cover(ball, order)
-    best_set = sum(1 << p for p in picked)
-    best = greedy = upper = len(picked)
+    # on a tie min keeps the greedy set
+    best_set = min(_greedy_cover(ball, order), _first_descent(ball, start, order, full), key=int.bit_count)
+    best = upper = best_set.bit_count()
     root_lb = 1
     nodes = 0
     stopped = False
@@ -407,15 +406,6 @@ def _solve_component(vertices, balls, nodes_left, deadline):
                 if c == 2 and y is not None:
                     rest = 0  # escalated: branch on the first pair, the dual weights cut
         else:
-            if not size and upper == greedy:
-                # the root needs search: start from the first descent if it is
-                # smaller (on a tie the greedy set stays), scanning the root again
-                descent = _first_descent(ball, start, order, full)
-                if descent.bit_count() < best:
-                    best_set = descent
-                    best = upper = descent.bit_count()
-                    stack.append((covered, allowed, chosen))
-                    continue
             if forced:
                 for p in _iter_bits(forced):
                     covered |= ball[p]

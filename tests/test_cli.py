@@ -76,6 +76,27 @@ class TestOptionTable:
         assert f"unrecognized arguments: {extra}\n" in capsys.readouterr().err
 
 
+class TestParserReuse:
+    def test_second_call_builds_no_parser(self, capsys, monkeypatch):
+        run_cli(capsys, "construct", "--family", "path", "--n", "3")
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
+        assert run_cli(capsys, "construct", "--family", "path", "--n", "3") == (0, "3 2\n0 1\n1 2\n")
+        assert built == []
+
+    def test_usage_error_leaves_no_trace(self, capsys):
+        good = ["construct", "--family", "cycle", "--n", "4"]
+        kdom.cli._parser.cache_clear()
+        alone = run_cli(capsys, *good)  # on a freshly built parser
+        with pytest.raises(SystemExit) as exc:
+            main([*good, "--k", "2"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run_cli(capsys, *good) == alone == (0, "4 4\n0 1\n0 3\n1 2\n2 3\n")
+
+
 class TestGammaCommand:
     def test_c10_k2(self, capsys, c10_file):
         code, doc = run_json(capsys, "gamma", "--k", "2", "--in", c10_file)

@@ -91,6 +91,23 @@ class TestFromEdgeList:
         with pytest.raises(IndexOutOfRange):
             from_edge_list(3, [(-1, 0)])
 
+    @pytest.mark.parametrize("n, pairs, error, message", [
+        # -1 used to wrap to vertex 2, one way only: has_edge(2, 0) but not (0, 2)
+        (3, [(0, -1), (0, 1)], IndexOutOfRange, r"vertex -1 not in \[0, 3\)"),
+        (3, [(0, 3)], IndexOutOfRange, r"edge \(0,3\) uses a vertex outside \[0, 3\)"),
+        (2, [(1, 1)], SimplenessViolation, "self-loop at vertex 1"),  # was kept in adj[1] with m == 0
+    ], ids=["negative", "too-large", "loop"])
+    def test_constructor_rejects_bad_endpoints_and_loops(self, n, pairs, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            Graph(n, pairs)
+
+    def test_from_edge_list_checks_first(self):
+        # its own messages, before the constructor sees the pairs
+        with pytest.raises(IndexOutOfRange, match=r"^edge \(0,-1\) uses a vertex outside \[0, 3\)$"):
+            from_edge_list(3, [(0, -1), (0, 1)])
+        with pytest.raises(SimplenessViolation, match=r"^self-loop at vertex 1$"):
+            from_edge_list(2, [(1, 1)], strict=True)
+
     def test_adjacency_views_agree(self):
         rng = random.Random(11)
         for _ in range(20):

@@ -22,6 +22,7 @@ from kdom import (
     path,
 )
 import kdom.dual
+import kdom.solver
 from kdom.dual import SCALE, escalate, lagrangian, weigher
 from kdom.solver import ORACLE_MAX_N, _greedy_cover, _undominated
 
@@ -137,7 +138,7 @@ class TestGreedyUpper:
     def test_smaller_cover_when_descent_beats_greedy(self):
         # the greedy cover takes 9 vertices here, the first descent 8 = gamma_2
         g = clique_expanded_path(40, 3)
-        assert len(_greedy_cover(_masks(g.balls(2)), range(g.n))) == 9
+        assert _greedy_cover(_masks(g.balls(2)), range(g.n)).bit_count() == 9
         cert = gamma_k_exact(g, 2, budget_nodes=0)
         assert cert.upper_bound_used == cert.value == 8 and cert.status == "Exact"
         assert is_k_dominating(g, cert.vertices, 2)
@@ -147,8 +148,40 @@ class TestGreedyUpper:
         for _ in range(60):
             g = random_connected(rng, rng.randint(1, 40), rng.uniform(0.02, 0.3))
             for k in (1, 2, 3):
-                greedy = len(_greedy_cover(_masks(g.balls(k)), range(g.n)))
+                greedy = _greedy_cover(_masks(g.balls(k)), range(g.n)).bit_count()
                 assert gamma_k_exact(g, k, budget_nodes=0).upper_bound_used <= greedy
+
+    @staticmethod
+    def _spy(monkeypatch, name):
+        """Record, as vertex tuples, the covers ``kdom.solver.<name>`` returns;
+        both covers take the labelling ``order`` as an argument."""
+        covers = []
+        original = getattr(kdom.solver, name)
+
+        def spy(*args):
+            mask = original(*args)
+            order = args[1] if name == "_greedy_cover" else args[2]
+            covers.append(tuple(sorted(order[p] for p in range(len(order)) if mask >> p & 1)))
+            return mask
+
+        monkeypatch.setattr(kdom.solver, name, spy)
+        return covers
+
+    def test_descent_once_per_component(self, monkeypatch):
+        # the path's root closes on its greedy cover; Petersen's needs search
+        descents = self._spy(monkeypatch, "_first_descent")
+        g = Graph(17, [*path(7).edges, *((u + 7, v + 7) for u, v in petersen().edges)])
+        cert = gamma_k_exact(g, 1)
+        assert cert.value == 6 and cert.status == "Exact" and cert.components == 2
+        assert len(descents) == 2
+
+    def test_tie_keeps_greedy_set(self, monkeypatch):
+        greedy = self._spy(monkeypatch, "_greedy_cover")
+        descents = self._spy(monkeypatch, "_first_descent")
+        g = random_connected(random.Random(10), 11, 0.25)
+        cert = gamma_k_exact(g, 1, budget_nodes=0)
+        assert greedy == [(7, 9, 10)] and descents == [(0, 1, 7)]
+        assert cert.vertices == (7, 9, 10) and cert.upper_bound_used == 3
 
 
 class TestPackingLower:
@@ -428,7 +461,7 @@ def _dual(g: Graph, k: int):
     labelling, from the greedy cover: (y, cover, lower, candidates, greedy)."""
     balls = g.balls(k)
     cands = _undominated(tuple(range(g.n)), balls)
-    greedy = len(_greedy_cover(_masks(balls), range(g.n)))
+    greedy = _greedy_cover(_masks(balls), range(g.n)).bit_count()
     y, cover, lower = lagrangian([list(b) for b in balls], cands, greedy)
     return y, cover, lower, cands, greedy
 
@@ -559,7 +592,7 @@ class TestEscalation:
         balls = g.balls(1)
         members = [list(b) for b in balls]  # the identity labelling
         cands = _undominated(tuple(range(g.n)), balls)
-        y, _, _, costs, dear = escalate(members, cands, len(_greedy_cover(_masks(balls), range(g.n))))
+        y, _, _, costs, dear = escalate(members, cands, _greedy_cover(_masks(balls), range(g.n)).bit_count())
         reduced = {c: SCALE - sum(y[v] for v in members[c]) for c in cands}
         width = -(-len(cands) // 256)
         assert len(costs) <= 256 and len(dear) == len(costs) + 1 and len(set(reduced.values())) > 2
