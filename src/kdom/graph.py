@@ -4,11 +4,13 @@ Vertices are the integers 0..n-1. The adjacency relation is kept once, as
 sorted neighbor tuples, and every traversal is a BFS over them. Components
 and k-balls are sorted vertex tuples too, so the graph holds no bitsets: a
 k-ball table costs O(sum of ball sizes), and only the exact solver builds
-bitsets, per component. Distances are plain hop counts; inside a BFS
-distance row "unreachable" is encoded as the sentinel value n (strictly
-larger than any realizable distance), while
-reporting-level quantities (diameter, radius, girth, eccentricity) use
-``math.inf`` so disconnected and acyclic cases read naturally.
+bitsets, per component. A 1-ball is read off ``adj``, and a larger ball is
+the union of the cached (k-1)-balls of its closed neighbourhood when that
+table exists, a BFS to depth k otherwise. Distances are plain hop counts;
+inside a BFS distance row "unreachable" is encoded as the sentinel value n
+(strictly larger than any realizable distance), while reporting-level
+quantities (diameter, radius, girth, eccentricity) use ``math.inf`` so
+disconnected and acyclic cases read naturally.
 
 Eccentricities come from a few bounded BFS sweeps rather than one BFS per
 vertex (none beyond the connectivity BFS on a cycle), and the girth from a
@@ -121,11 +123,24 @@ class Graph:
         return dist
 
     def closed_k_neighborhood(self, v: int, k: int) -> tuple[int, ...]:
-        """The vertices within distance ``k`` of ``v`` (k >= 0), ascending."""
+        """The vertices within distance ``k`` of ``v`` (k >= 0), ascending.
+
+        The 1-ball is read off ``adj``. A larger ball is the union of the
+        (k-1)-balls of ``v``'s closed neighbourhood when that table is
+        already cached, and a BFS otherwise; no table is built to grow from.
+        """
         self._check_vertex(v)
         if k < 0:
             raise ValueError("k must be >= 0")
         adj = self.adj
+        if k == 1:
+            return tuple(sorted((v, *adj[v])))
+        prev = self._balls.get(k - 1)
+        if prev is not None:
+            seen = set(prev[v])
+            for u in adj[v]:
+                seen.update(prev[u])
+            return tuple(sorted(seen))
         seen = {v}
         frontier = [v]
         for _ in range(min(k, self.n - 1)):
@@ -143,7 +158,10 @@ class Graph:
     def balls(self, k: int) -> tuple[tuple[int, ...], ...]:
         """The closed k-neighborhood of every vertex, as ascending vertex
         tuples, computed once per k and cached; the same tuple is returned on
-        every call. Memory is O(sum of ball sizes)."""
+        every call. Memory is O(sum of ball sizes); a table grows from the
+        (k-1)-table when that one is cached (see :meth:`closed_k_neighborhood`)."""
+        if k < 0:
+            raise ValueError("k must be >= 0")
         table = self._balls.get(k)
         if table is None:
             table = tuple(self.closed_k_neighborhood(v, k) for v in range(self.n))

@@ -110,19 +110,25 @@ def gamma_k_oracle(g: Graph, k: int) -> Certificate:
 
     Deterministic: returns the lexicographically first minimum set. Refuses
     graphs above ``ORACLE_MAX_N`` vertices; the enumeration is exponential.
-    Coverage is derived from plain BFS distance vectors so the oracle shares
-    no cover machinery with the branch-and-bound it is used to validate.
+    Coverage comes from the oracle's own ball bitsets, grown from ``g.adj``
+    (each j-ball is the union of the (j-1)-balls of the closed
+    neighbourhood), so the oracle shares no cover machinery with
+    :meth:`Graph.balls` or the branch-and-bound it is used to validate.
     """
     _check_k(k)
     if g.n > ORACLE_MAX_N:
         raise TooLarge(f"oracle capped at n <= {ORACLE_MAX_N}, got n = {g.n}")
     if g.n == 0:
         return Certificate(k, (), "Exact", 0, 0, 0, "Oracle")
-    balls = []
-    reach = min(k, g.n - 1)  # the sentinel n means unreachable, never within k
-    for v in range(g.n):
-        row = g.bfs_distances(v)
-        balls.append(sum(1 << u for u in range(g.n) if row[u] <= reach))
+    adj = g.adj
+    balls = [1 << v | sum(1 << u for u in nbrs) for v, nbrs in enumerate(adj)]
+    for _ in range(min(k, g.n - 1) - 1):  # no ball grows past distance n - 1
+        grown = []
+        for ball, nbrs in zip(balls, adj):
+            for u in nbrs:
+                ball |= balls[u]
+            grown.append(ball)
+        balls = grown
     full = (1 << g.n) - 1
     checked = 0
     for size in range(1, g.n + 1):

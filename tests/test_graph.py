@@ -200,18 +200,48 @@ class TestClosedKNeighborhood:
         assert path(5).closed_k_neighborhood(2, 2) == (0, 1, 2, 3, 4)
 
     def test_matches_distance_rows(self):
+        # ascending requests grow each table from the cached one below it;
+        # descending and single requests run a BFS per ball (k = 1 reads adj)
         rng = random.Random(23)
-        for _ in range(10):
-            g = random_graph(rng, rng.randint(1, 10), rng.random())
-            for v in range(g.n):
-                row = g.bfs_distances(v)
-                for k in range(g.n + 1):
-                    # the sentinel n means unreachable, never "within k"
-                    want = tuple(u for u in range(g.n) if row[u] <= min(k, g.n - 1))
-                    assert g.closed_k_neighborhood(v, k) == want
-                    assert g.balls(k)[v] == want
-            for k in range(g.n + 1):
-                assert g.balls(k) is g.balls(k)
+        graphs = [Graph(0, [])] + [random_graph(rng, rng.randint(1, 10), rng.random()) for _ in range(25)]
+        assert sum(g.n == 1 for g in graphs) >= 2
+        assert sum(not g.is_connected() for g in graphs) >= 5
+        for g in graphs:
+            rows = [g.bfs_distances(v) for v in range(g.n)]
+            ks = range(g.n + 2)
+            # the sentinel n means unreachable, never "within k"
+            want = [tuple(tuple(u for u in range(g.n) if row[u] <= min(k, g.n - 1)) for row in rows) for k in ks]
+            for order in (ks, reversed(ks)):
+                h = Graph(g.n, g.edges)
+                for k in order:
+                    assert h.balls(k) == want[k]
+                    assert h.balls(k) is h.balls(k)
+            for k in ks:
+                h = Graph(g.n, g.edges)
+                assert tuple(h.closed_k_neighborhood(v, k) for v in range(h.n)) == want[k]
+
+    def test_no_lower_table_cached_to_grow_from(self):
+        g = path(12)
+        g.balls(3)
+        assert list(g._balls) == [3]
+
+    def test_negative_k_rejected_before_the_cache(self):
+        for g in (Graph(0, []), path(3)):
+            with pytest.raises(ValueError):
+                g.balls(-1)
+            assert not g._balls
+
+    def test_ball_table_memory_without_lower_tables(self):
+        # the table itself is 10.9 MB; caching the 29 tables below it would
+        # take hundreds
+        g = path(20000)
+        tracemalloc.start()
+        try:
+            g.balls(30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 10.9 * 2**20
 
     def test_ball_table_memory_on_edgeless_graph(self):
         # one vertex tuple per vertex: an n-bit int per vertex peaked at 26 MB

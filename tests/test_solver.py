@@ -3,8 +3,9 @@ from bisect import bisect_right
 
 import pytest
 
-from conftest import complete, petersen, random_connected, random_tree, star
+from conftest import complete, petersen, random_connected, random_graph, random_tree, star
 from kdom import (
+    Certificate,
     DisconnectedInput,
     Graph,
     IndexOutOfRange,
@@ -95,6 +96,58 @@ class TestOracle:
     def test_lexicographically_first_set(self):
         # C6: {0,3} is the first 2-set that 1-dominates
         assert gamma_k_oracle(cycle(6), 1).vertices == (0, 3)
+
+    # (set, nodes_explored) at k = 1, 2, 3 for each graph of _pinned_graphs()
+    PINNED = [
+        [((0, 2, 3), 53), ((2,), 3), ((0,), 1)],
+        [((0, 2, 4, 5), 77), ((0, 1, 4, 5), 71), ((0, 1, 4, 5), 71)],
+        [((0, 1), 8), ((0,), 1), ((0,), 1)],
+        [((0, 2, 3, 5, 6), 186), ((0, 1, 2, 3, 5), 164), ((0, 1, 2, 3, 5), 164)],
+        [((0, 3), 9), ((1,), 2), ((0,), 1)],
+        [((1, 5, 6, 8, 9), 886), ((0, 1, 5), 70), ((0, 5), 16)],
+        [((2, 3, 6), 181), ((1, 2), 24), ((0,), 1)],
+        [((0, 1, 3, 6, 8), 602), ((1, 2, 3, 4), 352), ((0, 1, 2, 3), 232)],
+        [((0,), 1), ((0,), 1), ((0,), 1)],
+        [((0, 2, 3, 4, 6), 292), ((0, 1, 3, 4, 6), 272), ((0, 1, 3, 4, 6), 272)],
+        [((0, 2, 5, 6), 215), ((0, 1), 11), ((0,), 1)],
+        [((0, 4, 6, 7, 12), 1487), ((3, 12), 55), ((0, 12), 25)],
+        [((0,), 1), ((0,), 1), ((0,), 1)],
+        [((0, 5, 7, 9), 435), ((0, 3), 15), ((0, 2), 14)],
+        [((0,), 1), ((0,), 1), ((0,), 1)],
+        [((1, 2, 4), 33), ((0, 2), 8), ((0, 2), 8)],
+        [((0,), 1), ((0,), 1), ((0,), 1)],
+        [((0, 1, 5, 6, 8), 880), ((1, 2, 4, 8), 475), ((1, 3, 8), 147)],
+        [((0, 1), 8), ((0,), 1), ((0,), 1)],
+        [((0, 3, 4, 5, 6), 311), ((0, 3, 4, 5), 166), ((0, 3, 4, 5), 166)],
+    ]
+
+    @staticmethod
+    def _pinned_graphs():
+        # even draws connected, odd draws mostly not (10 of the 20)
+        rng = random.Random(29)
+        for i in range(20):
+            if i % 2:
+                yield random_graph(rng, rng.randint(6, 13), rng.uniform(0.12, 0.25))
+            else:
+                yield random_connected(rng, rng.randint(1, 13), rng.uniform(0, 0.15))
+
+    def test_pinned_certificates(self):
+        # the full certificates as the oracle gave them when its balls came
+        # from one BFS row per vertex
+        def pinned(k, vertices, checked):
+            return Certificate(k, vertices, "Exact", len(vertices), len(vertices), checked, "Oracle")
+
+        assert [gamma_k_oracle(petersen(), k) for k in (1, 2)] == [
+            pinned(1, (0, 2, 6), 67), pinned(2, (0,), 1)
+        ]
+        assert [gamma_k_oracle(cycle(7), k) for k in (1, 2, 3)] == [
+            pinned(1, (0, 1, 4), 31), pinned(2, (0, 2), 9), pinned(3, (0,), 1)
+        ]
+        graphs = list(self._pinned_graphs())
+        assert sum(not g.is_connected() for g in graphs) == 10
+        for g, row in zip(graphs, self.PINNED, strict=True):
+            for k, (vertices, checked) in enumerate(row, 1):
+                assert gamma_k_oracle(g, k) == pinned(k, vertices, checked)
 
     def test_status_and_soundness(self):
         rng = random.Random(2)
