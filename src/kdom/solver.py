@@ -5,8 +5,9 @@ set S such that every vertex lies within hop distance k of S. Computing it is
 NP-hard, so exactness here means exhaustive search: a brute-force enumerator
 (`gamma_k_oracle`) for ground truth on tiny graphs, and a branch-and-bound
 over the equivalent set-cover formulation (`gamma_k_exact`: dominated
-candidates dropped, fewest-candidates branching, a disjoint-candidate packing
-bound at every node, an explicit stack and no distance matrix) for everything
+candidates dropped, a closed-form fractional bound at the root, fewest-
+candidates branching, a disjoint-candidate packing bound at every node, an
+explicit stack and no distance matrix) for everything
 at desk scale. Both return a :class:`Certificate` whose set can be re-verified
 independently with :func:`is_k_dominating`.
 
@@ -48,8 +49,11 @@ class Certificate:
     size. ``status`` is "Exact" when ``value`` equals the domination number
     and "UpperBoundOnly" when the search stopped at an incumbent. ``components``
     counts the connected components the instance was split into (1 for
-    connected inputs). ``upper_bound_used`` is the value the search started
-    from, the smaller of two greedy covers (see :func:`gamma_k_exact`); it is
+    connected inputs). ``lower_bound_used`` is the root lower bound, summed
+    over the components: for each, the larger of the disjoint-candidate
+    packing count and the closed-form fractional bound. ``upper_bound_used``
+    is the value the search started from, the greedy set cover or, where it
+    is smaller, the search's first descent (see :func:`gamma_k_exact`); it is
     left out of :meth:`to_dict`, so the JSON schema is unchanged (``kdom
     bounds`` reports it as ``upper_bounds.greedy``).
     """
@@ -229,13 +233,18 @@ def gamma_k_exact(
     escalation is charged no node and is not interrupted by the clock; a
     search that ends before node 2048 never escalates.
 
-    Each component's search starts from the smaller of two covers: the
-    greedy set cover (largest fresh coverage first) and the search's own
-    first descent with no bounding; on a tie the greedy set stays. Both
-    covers are computed before the search, which scans the root once.
-    ``lower_bound_used`` sums the root packing bound of each component, whose
-    scan stops at the starting value, and ``upper_bound_used`` sums those
-    starting values; with ``budget_nodes=0`` the set is the starting cover.
+    Each component first takes the greedy set cover (largest fresh coverage
+    first) and the closed-form fractional bound ⌈Σ_v y_v⌉ with y_v one over
+    the size of the largest k-ball holding v (every ball weighs at most 1
+    under y). When the bound meets the greedy cover, that cover is optimal
+    and the component ends with no node and no descent. Otherwise its search
+    starts from the smaller of the greedy cover and the search's own first
+    descent with no bounding (on a tie the greedy set stays) and scans the
+    root once. ``lower_bound_used`` sums, per component, the larger of the
+    fractional bound and the root packing bound, whose scan stops at the
+    starting value; ``upper_bound_used`` sums the starting values. With
+    ``budget_nodes=0`` the set is the starting cover, and the status is
+    "Exact" when every component closed at its root.
     An escalation changes neither: the dual bound and the Lagrangian covers
     only cut nodes and lower the value, so the certificate keeps its keys.
     ``nodes_explored`` counts the nodes below the root, each
@@ -252,6 +261,7 @@ def gamma_k_exact(
     if math.isnan(budget_seconds):
         raise ValueError("budget_seconds must be a number or inf, got nan")
     balls = g.balls(k)
+    sizes = list(map(len, balls))
     deadline = time.monotonic() + budget_seconds
     comps = g.components()
     chosen: list[int] = []
@@ -259,7 +269,7 @@ def gamma_k_exact(
     stopped = False
     for vertices in comps:
         nodes_left = 0 if stopped else budget_nodes - nodes
-        picked, used, root_lb, start, halted = _solve_component(vertices, balls, nodes_left, deadline)
+        picked, used, root_lb, start, halted = _solve_component(vertices, balls, sizes, nodes_left, deadline)
         chosen += picked
         nodes += used
         lower += root_lb
@@ -272,21 +282,40 @@ def gamma_k_exact(
 def _undominated(vertices: tuple[int, ...], balls: tuple[tuple[int, ...], ...]) -> list[int]:
     """The vertices whose k-ball no other contains (of equal balls the lowest
     index stays), ascending; a ball containing ``balls[v]`` is centred in it.
-    The balls are compared as bitsets over the component's indices, built
-    here and freed on return."""
-    bit = {v: 1 << i for i, v in enumerate(vertices)}
-    mask = {v: sum(map(bit.__getitem__, balls[v])) for v in vertices}
-    del bit
+    Containment is read off the sorted ball tuples: a shorter ball never
+    contains a longer one, balls of equal length contain each other only when
+    equal, and a longer ball is tested as a set, built once per centre on
+    first use."""
+    as_set: dict[int, frozenset[int]] = {}
     keep = []
     for v in vertices:
-        bv = mask[v]
-        for u in balls[v]:
-            bu = mask[u]
-            if bv & bu == bv and u != v and (bu != bv or u < v):
+        bv = balls[v]
+        size = len(bv)
+        for u in bv:
+            bu = balls[u]
+            if len(bu) > size:
+                su = as_set.get(u)
+                if su is None:
+                    su = as_set[u] = frozenset(bu)
+                if su.issuperset(bv):
+                    break
+            elif u < v and bu == bv:
                 break
         else:
             keep.append(v)
     return keep
+
+
+def _fractional_lower(vertices, balls, sizes):
+    """⌈Σ_v y_v⌉ for y_v = 1 / (the size of the largest k-ball holding v), a
+    lower bound on the component's domination number: every ball weighs at
+    most 1 under y, so each dominator covers at most 1 of the total. Exact
+    integer arithmetic over the lcm of the distinct sizes; ``sizes[v]`` is
+    ``len(balls[v])``, and by symmetry the balls holding v are centred in
+    ``balls[v]``."""
+    tops = [max(map(sizes.__getitem__, balls[v])) for v in vertices]
+    den = math.lcm(*set(tops))
+    return -(-sum(map(den.__floordiv__, tops)) // den)
 
 
 def _first_descent(ball, start, order, full):
@@ -303,10 +332,11 @@ def _first_descent(ball, start, order, full):
     return chosen
 
 
-def _solve_component(vertices, balls, nodes_left, deadline):
+def _solve_component(vertices, balls, sizes, nodes_left, deadline):
     """Search one component with at most ``nodes_left`` nodes below the root;
     returns (chosen vertices, nodes, root bound, starting cover size, whether
-    it stopped early).
+    it stopped early). ``sizes[v]`` is ``len(balls[v])``. A component whose
+    fractional bound meets its greedy cover returns that cover at once.
 
     Vertices are relabelled 0..m-1 by ascending candidate count, so walking
     the bits of the uncovered mask visits them in the packing order. The
@@ -339,10 +369,15 @@ def _solve_component(vertices, balls, nodes_left, deadline):
     start = sum(map(bit.__getitem__, cands))
     del bit
     full = (1 << len(order)) - 1
+    greedy = _greedy_cover(ball, order)
+    upper = greedy.bit_count()
+    bound = _fractional_lower(vertices, balls, sizes)
+    if bound >= upper:  # the greedy cover is optimal, and no descent can beat it
+        return [order[p] for p in _iter_bits(greedy)], 0, bound, upper, False
     # on a tie min keeps the greedy set
-    best_set = min(_greedy_cover(ball, order), _first_descent(ball, start, order, full), key=int.bit_count)
+    best_set = min(greedy, _first_descent(ball, start, order, full), key=int.bit_count)
     best = upper = best_set.bit_count()
-    root_lb = 1
+    root_lb = bound
     nodes = 0
     stopped = False
     y = None  # the dual weights, once the search has escalated
@@ -423,5 +458,5 @@ def _solve_component(vertices, balls, nodes_left, deadline):
                     allowed ^= 1 << p
                 stack.extend(reversed(kids))
         if not size:
-            root_lb = count
+            root_lb = max(count, bound)
     return [order[p] for p in _iter_bits(best_set)], nodes, root_lb, upper, stopped

@@ -40,3 +40,10 @@ def random_connected(rng: random.Random, n: int, p: float) -> Graph:
 
 def random_tree(rng: random.Random, n: int) -> Graph:
     return Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+def open_root() -> Graph:
+    """A connected graph whose exact k = 1 solve needs search: its root
+    bounds reach 2 and its greedy cover takes 3 = gamma_1, so with a node
+    budget of 0 the solve stops UpperBoundOnly."""
+    return random_connected(random.Random(2), 8, 0.3)

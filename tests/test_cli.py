@@ -10,8 +10,8 @@ import pytest
 
 import kdom.cli
 import kdom.io
-from conftest import complete
-from kdom import cycle, path, serialize_edge_list
+from conftest import complete, open_root
+from kdom import cycle, gamma_k_exact, path, serialize_edge_list
 from kdom.cli import build_parser, main
 
 GRAPH_IO = {"--in", "--strict", "--out"}
@@ -111,8 +111,9 @@ class TestGammaCommand:
         assert [r["gamma_k"] for r in doc["results"]] == [4, 2, 2]
 
     def test_require_exact_budget_exit_3(self, capsys, tmp_path):
-        p = tmp_path / "c4.txt"
-        p.write_text(serialize_edge_list(cycle(4)))
+        assert gamma_k_exact(open_root(), 1).nodes_explored > 0  # the root stays open
+        p = tmp_path / "open.txt"
+        p.write_text(serialize_edge_list(open_root()))
         code, doc = run_json(
             capsys, "gamma", "--k", "1", "--in", str(p), "--budget-nodes", "0", "--require-exact"
         )

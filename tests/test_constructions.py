@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import complete, petersen, random_connected, random_tree
+from conftest import complete, open_root, petersen, random_connected, random_tree
 from kdom import (
     BudgetExceeded,
     DisconnectedInput,
@@ -18,6 +18,7 @@ from kdom import (
     cycle_outsider_witness,
     direct_product,
     from_edge_list,
+    gamma_k_exact,
     gamma_k_oracle,
     is_k_dominating,
     path,
@@ -262,8 +263,9 @@ class TestPreservingSpanningTree:
             preserving_spanning_tree(from_edge_list(4, [(0, 1), (2, 3)]), 1)
 
     def test_budget_propagates(self):
+        assert gamma_k_exact(open_root(), 1).nodes_explored > 0  # the root stays open
         with pytest.raises(BudgetExceeded):
-            preserving_spanning_tree(cycle(4), 1, budget_nodes=0)
+            preserving_spanning_tree(open_root(), 1, budget_nodes=0)
 
     def test_empty_graph_gets_empty_tree(self):
         for k in (1, 3):

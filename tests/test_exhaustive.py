@@ -63,6 +63,7 @@ def test_exact_matches_oracle(atlas):
         for k in K:
             cert = gamma_k_exact(g, k)
             assert cert.status == "Exact" and cert.value == gamma[k], (g.edges, k)
+            assert cert.lower_bound_used <= gamma[k], (g.edges, k)
             assert is_k_dominating(g, cert.vertices, k)
 
 

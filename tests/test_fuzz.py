@@ -17,7 +17,46 @@ LEFT_FACTOR = "4 5\n0 1\n0 2\n0 3\n1 3\n2 3\n"
 RIGHT_FACTOR = "5 10\n0 1\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
 
 
+def _building_every_draw(rng, n, p):
+    """``random_connected_graph`` as it was when every G(n, p) draw was built
+    as a ``Graph`` and asked whether it is connected; the reference for the
+    draws the union-find now rejects."""
+    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for _ in range(1000):
+        g = fuzz_module.Graph(n, [e for e in all_pairs if rng.random() < p])
+        if g.is_connected():
+            return g
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for e in all_pairs:
+        if e not in edges and rng.random() < p:
+            edges.add(e)
+    return fuzz_module.Graph(n, edges)
+
+
 class TestRandomConnectedGraph:
+    def test_same_graphs_and_draws_as_building_every_draw(self):
+        params = random.Random(71)
+        new, old = random.Random(72), random.Random(72)
+        # the last two reach the spanning-tree fallback
+        calls = [(params.randint(1, 14), params.uniform(0.0, 0.5)) for _ in range(197)]
+        for n, p in [*calls, (0, 0.5), (12, 0.0), (14, 0.005)]:
+            g = random_connected_graph(new, n, p)
+            assert g == _building_every_draw(old, n, p), (n, p)
+            assert new.getstate() == old.getstate()
+
+    def test_one_graph_build_per_call(self, monkeypatch):
+        builds = []
+        build = fuzz_module.Graph
+        monkeypatch.setattr(fuzz_module, "Graph", lambda *a: builds.append(a) or build(*a))
+        g = random_connected_graph(random.Random(5), 12, 0.12)
+        assert len(builds) == 1
+        builds.clear()
+        assert _building_every_draw(random.Random(5), 12, 0.12) == g
+        assert len(builds) == 17  # 16 draws rejected before it, each built
+        builds.clear()
+        random_connected_graph(random.Random(5), 12, 0.0)  # every draw rejected: the fallback
+        assert len(builds) == 1
+
     def test_always_connected(self):
         rng = random.Random(1)
         for p in (0.05, 0.3, 0.9):

@@ -1,9 +1,11 @@
+import math
 import random
 from bisect import bisect_right
+from fractions import Fraction
 
 import pytest
 
-from conftest import complete, petersen, random_connected, random_graph, random_tree, star
+from conftest import complete, open_root, petersen, random_connected, random_graph, random_tree, star
 from kdom import (
     Certificate,
     DisconnectedInput,
@@ -25,7 +27,7 @@ from kdom import (
 import kdom.dual
 import kdom.solver
 from kdom.dual import SCALE, escalate, lagrangian, weigher
-from kdom.solver import ORACLE_MAX_N, _greedy_cover, _undominated
+from kdom.solver import ORACLE_MAX_N, _fractional_lower, _greedy_cover, _undominated
 
 
 def _masks(balls):
@@ -220,13 +222,27 @@ class TestGreedyUpper:
         monkeypatch.setattr(kdom.solver, name, spy)
         return covers
 
-    def test_descent_once_per_component(self, monkeypatch):
-        # the path's root closes on its greedy cover; Petersen's needs search
+    def test_descent_only_where_the_root_stays_open(self, monkeypatch):
+        # the path's and Petersen's fractional bounds meet their greedy covers,
+        # so no descent runs there; each copy of open_root() gets one
         descents = self._spy(monkeypatch, "_first_descent")
-        g = Graph(17, [*path(7).edges, *((u + 7, v + 7) for u, v in petersen().edges)])
-        cert = gamma_k_exact(g, 1)
-        assert cert.value == 6 and cert.status == "Exact" and cert.components == 2
-        assert len(descents) == 2
+        parts = [path(7), petersen(), open_root(), open_root()]
+        edges, n = [], 0
+        for part in parts:
+            edges += [(u + n, v + n) for u, v in part.edges]
+            n += part.n
+        cert = gamma_k_exact(Graph(n, edges), 1)
+        assert cert.value == 3 + 3 + 2 * 3 and cert.status == "Exact" and cert.components == 4
+        assert descents == [(17, 19, 23), (25, 27, 31)]
+        assert cert.nodes_explored == 2 * gamma_k_exact(open_root(), 1).nodes_explored > 0
+
+    def test_descent_skipped_when_the_root_closes(self, monkeypatch):
+        descents = self._spy(monkeypatch, "_first_descent")
+        for g in (path(30), cycle(31), petersen(), complete(6), star(9)):
+            for k in (1, 2, 3):
+                cert = gamma_k_exact(g, k)
+                assert cert.nodes_explored == 0 and cert.lower_bound_used == cert.value
+        assert descents == []
 
     def test_tie_keeps_greedy_set(self, monkeypatch):
         greedy = self._spy(monkeypatch, "_greedy_cover")
@@ -350,11 +366,13 @@ class TestGammaKExact:
         assert cert.vertices == ()
 
     def test_budget_exhaustion_keeps_valid_incumbent(self):
-        # C4 with k=1 launches a real search (greedy 2 > root bound 1)
-        cert = gamma_k_exact(cycle(4), 1, budget_nodes=0)
+        # open_root() launches a real search (greedy 3 > root bounds 2)
+        g = open_root()
+        assert gamma_k_exact(g, 1).nodes_explored > 0
+        cert = gamma_k_exact(g, 1, budget_nodes=0)
         assert cert.status == "UpperBoundOnly"
-        assert is_k_dominating(cycle(4), cert.vertices, 1)
-        assert cert.value >= gamma_k_oracle(cycle(4), 1).value
+        assert is_k_dominating(g, cert.vertices, 1)
+        assert cert.value >= gamma_k_oracle(g, 1).value
 
     def test_budget_stop_in_first_component_marks_whole_certificate(self):
         # the first component needs 2047 nodes; the path 60-61-62 closes at its root
@@ -367,17 +385,19 @@ class TestGammaKExact:
         assert is_k_dominating(g, cert.vertices, 1)
 
     def test_components_after_a_stop_get_no_nodes(self):
-        # C4 on 60..63 needs 3 nodes of its own, but the first component
-        # already spent the budget, so C4 keeps its greedy pair
-        first = _sparse(5, 60)
-        g = Graph(64, [*first.edges, (60, 61), (61, 62), (62, 63), (63, 60)])
+        # open_root() on 60..67 needs nodes of its own, but the first
+        # component already spent the budget, so it keeps its greedy cover
+        first, second = _sparse(5, 60), open_root()
+        assert gamma_k_exact(second, 1).nodes_explored > 0
+        g = Graph(68, [*first.edges, *((u + 60, v + 60) for u, v in second.edges)])
         cert = gamma_k_exact(g, 1, budget_nodes=100)
         assert cert.status == "UpperBoundOnly" and cert.nodes_explored == 100
-        assert sum(v >= 60 for v in cert.vertices) == 2
+        kept = gamma_k_exact(second, 1, budget_nodes=0).vertices
+        assert tuple(v - 60 for v in cert.vertices if v >= 60) == kept
         assert is_k_dominating(g, cert.vertices, 1)
 
     def test_negative_budget_acts_like_zero(self):
-        for g in (cycle(4), _sparse(5, 60), from_edge_list(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)])):
+        for g in (open_root(), _sparse(5, 60), from_edge_list(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)])):
             assert gamma_k_exact(g, 1, budget_nodes=-5) == gamma_k_exact(g, 1, budget_nodes=0)
 
     def test_time_budget_stops_within_2048_nodes(self):
@@ -448,9 +468,86 @@ class TestGammaKExact:
             assert cert.value == 1121  # agrees with the HiGHS optimum
 
 
+def _with_twin(g: Graph, v: int) -> Graph:
+    """``g`` plus a vertex adjacent to ``v`` and to all of its neighbours, so
+    the two have equal k-balls for every k >= 1."""
+    return Graph(g.n + 1, [*g.edges, (v, g.n), *((u, g.n) for u in g.adj[v])])
+
+
+class TestUndominated:
+    """``_undominated`` against a reference that compares every pair of balls
+    in a component as sets, not only the balls centred in each other."""
+
+    @staticmethod
+    def _reference(vertices, balls):
+        sets = {v: frozenset(balls[v]) for v in vertices}
+        return [v for v in vertices
+                if not any(u != v and sets[u] >= sets[v] and (sets[u] != sets[v] or u < v) for u in vertices)]
+
+    def test_matches_reference(self):
+        rng = random.Random(61)
+        graphs = [Graph(0, []), Graph(1, []), Graph(2, []), complete(5), star(6), path(9), cycle(8), petersen()]
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(2, 16), rng.uniform(0.05, 0.4))
+            graphs.append(_with_twin(g, rng.randrange(g.n)) if rng.random() < 0.5 else g)
+        assert sum(not g.is_connected() for g in graphs) > 20
+        equal = 0
+        for g in graphs:
+            for k in (0, 1, 2, 3):
+                balls = g.balls(k)
+                for vertices in g.components():
+                    assert _undominated(vertices, balls) == self._reference(vertices, balls), (g.edges, k)
+                    equal += len({balls[v] for v in vertices}) < len(vertices)
+        assert equal > 100  # components with equal balls, where the lowest index stays
+
+
+class TestFractionalBound:
+    """``_fractional_lower``: one over the largest k-ball holding each vertex,
+    summed and rounded up."""
+
+    def test_matches_fraction_sum_and_stays_below_gamma(self):
+        rng = random.Random(67)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.05, 0.5))
+            for k in (1, 2, 3):
+                balls = g.balls(k)
+                sizes = list(map(len, balls))
+                total = 0
+                for vertices in g.components():
+                    y = sum(Fraction(1, max(len(balls[u]) for u in vertices if v in balls[u])) for v in vertices)
+                    bound = _fractional_lower(vertices, balls, sizes)
+                    assert bound == math.ceil(y), (g.edges, k)
+                    total += bound
+                assert total <= gamma_k_oracle(g, k).value
+
+    def test_raises_lower_bound_used_over_packing(self):
+        # the packing bound of C_n stops at n // (2k + 1), one short of gamma
+        for k in (1, 2, 3):
+            g = cycle(10 * k + 4)
+            assert packing_lower(g, k) == gamma_path_cycle(g.n, k, "cycle") - 1
+            cert = gamma_k_exact(g, k)
+            assert cert.lower_bound_used == cert.value == gamma_path_cycle(g.n, k, "cycle")
+
+    def test_budget_zero_stops_where_the_root_stays_open(self):
+        cert = gamma_k_exact(open_root(), 1, budget_nodes=0)
+        assert cert.status == "UpperBoundOnly" and cert.nodes_explored == 0
+        assert (cert.lower_bound_used, cert.upper_bound_used) == (2, 3)
+        assert gamma_k_exact(open_root(), 1).nodes_explored > 0
+
+
 class TestClosesAtTheRoot:
-    """The starting cover meets the root packing bound on the paper's tight
-    families, so the search explores no node."""
+    """The greedy or the first-descent cover meets a root bound (the packing
+    or the fractional bound) on the paper's tight families, so the search
+    explores no node."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_paths_and_cycles_need_no_budget(self, k):
+        # every residue of n mod 2k + 1, at small and larger n
+        for n in [*range(3, 3 + 2 * (2 * k + 1)), *range(200, 200 + 2 * k + 1)]:
+            for shape, g in (("path", path(n)), ("cycle", cycle(n))):
+                cert = gamma_k_exact(g, k, budget_nodes=0)
+                assert cert.status == "Exact" and cert.nodes_explored == 0, (shape, n)
+                assert cert.lower_bound_used == cert.value == gamma_path_cycle(n, k, shape), (shape, n)
 
     @pytest.mark.parametrize("n_base, delta", [(251, 2), (377, 2), (501, 2), (168, 3), (250, 3), (334, 3)])
     def test_clique_expanded_paths(self, n_base, delta):
@@ -524,15 +621,16 @@ def _no_lagrangian(*args):
 
 
 # certificates of solves that end before node 2048, as produced before the
-# escalation existed
+# escalation existed; Petersen's was re-pinned when the fractional root bound
+# (3 = gamma_1) closed its root: 11 -> 0 nodes, lower_bound_used 1 -> 3
 SHORT_SOLVES = [
     ("sparse-1-60", lambda: _sparse(1, 60), {
         "k": 1, "gamma_k": 14, "set": [0, 7, 8, 9, 13, 18, 21, 22, 29, 31, 35, 40, 46, 47], "status": "Exact",
         "lower_bound_used": 11, "nodes_explored": 765, "method": "BranchAndBound", "components": 1,
     }),
     ("petersen", petersen, {
-        "k": 1, "gamma_k": 3, "set": [0, 2, 6], "status": "Exact", "lower_bound_used": 1,
-        "nodes_explored": 11, "method": "BranchAndBound", "components": 1,
+        "k": 1, "gamma_k": 3, "set": [0, 2, 6], "status": "Exact", "lower_bound_used": 3,
+        "nodes_explored": 0, "method": "BranchAndBound", "components": 1,
     }),
     ("product-c5-p6", lambda: direct_product(cycle(5), path(6)), {
         "k": 1, "gamma_k": 8, "set": [1, 4, 7, 10, 14, 15, 18, 23], "status": "Exact", "lower_bound_used": 6,
@@ -716,8 +814,9 @@ NODE_RATCHET = [
     ("sparse-9-100", lambda: _sparse(9, 100), 1, 24, 2414),
     # needed 8134 nodes before the escalation
     ("sparse-38-80", lambda: _sparse(38, 80), 1, 18, 3190),
-    ("petersen", petersen, 1, 3, 11),
-    ("cycle-25", lambda: cycle(25), 1, 9, 3),
+    # 11 and 3 nodes before the fractional root bound
+    ("petersen", petersen, 1, 3, 0),
+    ("cycle-25", lambda: cycle(25), 1, 9, 0),
     ("clique-expanded-40-3", lambda: clique_expanded_path(40, 3), 2, 8, 0),
     ("product-c5-p6", lambda: direct_product(cycle(5), path(6)), 1, 8, 87),
 ]
