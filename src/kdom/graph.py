@@ -4,13 +4,13 @@ Vertices are the integers 0..n-1. The adjacency relation is kept once, as
 sorted neighbor tuples, and every traversal is a BFS over them. Components
 and k-balls are sorted vertex tuples too, so the graph holds no bitsets: a
 k-ball table costs O(sum of ball sizes), and only the exact solver builds
-bitsets, per component. A 1-ball is read off ``adj``, and a larger ball is
-the union of the cached (k-1)-balls of its closed neighbourhood when that
-table exists, a BFS to depth k otherwise. Distances are plain hop counts;
-inside a BFS distance row "unreachable" is encoded as the sentinel value n
-(strictly larger than any realizable distance), while reporting-level
-quantities (diameter, radius, girth, eccentricity) use ``math.inf`` so
-disconnected and acyclic cases read naturally.
+bitsets, for a component whose root stays open. A 1-ball is read off
+``adj``, and a larger ball is the union of the cached (k-1)-balls of its
+closed neighbourhood when that table exists, a BFS to depth k otherwise.
+Distances are plain hop counts; inside a BFS distance row "unreachable" is
+the sentinel value n (strictly larger than any realizable distance), while
+reporting-level quantities (diameter, radius, girth, eccentricity) use
+``math.inf`` so disconnected and acyclic cases read naturally.
 
 Eccentricities come from a few bounded BFS sweeps rather than one BFS per
 vertex (none beyond the connectivity BFS on a cycle), and the girth from a

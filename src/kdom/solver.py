@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass
 from bisect import bisect_right
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from . import dual
 from .dual import SCALE
@@ -52,10 +52,10 @@ class Certificate:
     connected inputs). ``lower_bound_used`` is the root lower bound, summed
     over the components: for each, the larger of the disjoint-candidate
     packing count and the closed-form fractional bound. ``upper_bound_used``
-    is the value the search started from, the greedy set cover or, where it
-    is smaller, the search's first descent (see :func:`gamma_k_exact`); it is
-    left out of :meth:`to_dict`, so the JSON schema is unchanged (``kdom
-    bounds`` reports it as ``upper_bounds.greedy``).
+    is the size of the starting cover, the greedy set cover or, where the
+    root stays open and it is smaller, the search's first descent (see
+    :func:`gamma_k_exact`); it is left out of :meth:`to_dict`, so the JSON
+    schema is unchanged (``kdom bounds`` reports it as ``upper_bounds.greedy``).
     """
 
     k: int
@@ -149,24 +149,23 @@ def gamma_k_oracle(g: Graph, k: int) -> Certificate:
     raise AssertionError("V(G) itself must dominate")  # pragma: no cover
 
 
-def _greedy_cover(ball: list[int], order: Sequence[int]) -> int:
-    """Greedy set-cover of one component in local labels, where ``ball[p]`` is
-    the k-ball bitset of vertex ``order[p]``: take the largest fresh coverage,
-    ties to the lowest vertex, until all are covered; returns the chosen
-    positions as a mask. Coverage only shrinks, so stale heap entries are
-    upper bounds (lazy greedy)."""
-    heap = [(-b.bit_count(), v, p) for p, (b, v) in enumerate(zip(ball, order))]
+def _greedy_cover(vertices: tuple[int, ...], balls: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Greedy set cover of one component on the k-ball tuples: take the ball
+    with the most vertices not yet covered, ties to the lowest centre, until
+    all are covered; returns the centres in the order taken. Coverage only
+    shrinks, so stale heap entries are upper bounds (lazy greedy)."""
+    heap = [(-len(balls[v]), v) for v in vertices]
     heapq.heapify(heap)
-    uncovered = (1 << len(ball)) - 1
-    chosen = 0
-    while uncovered:
-        stored, v, p = heapq.heappop(heap)
-        gain = (ball[p] & uncovered).bit_count()
+    covered: set[int] = set()
+    chosen = []
+    while len(covered) < len(vertices):
+        stored, v = heapq.heappop(heap)
+        gain = len(balls[v]) - len(covered.intersection(balls[v]))
         if gain == -stored:
-            uncovered &= ~ball[p]
-            chosen |= 1 << p
+            covered.update(balls[v])
+            chosen.append(v)
         elif gain:
-            heapq.heappush(heap, (-gain, v, p))
+            heapq.heappush(heap, (-gain, v))
     return chosen
 
 
@@ -233,18 +232,19 @@ def gamma_k_exact(
     escalation is charged no node and is not interrupted by the clock; a
     search that ends before node 2048 never escalates.
 
-    Each component first takes the greedy set cover (largest fresh coverage
-    first) and the closed-form fractional bound ⌈Σ_v y_v⌉ with y_v one over
-    the size of the largest k-ball holding v (every ball weighs at most 1
-    under y). When the bound meets the greedy cover, that cover is optimal
-    and the component ends with no node and no descent. Otherwise its search
-    starts from the smaller of the greedy cover and the search's own first
-    descent with no bounding (on a tie the greedy set stays) and scans the
-    root once. ``lower_bound_used`` sums, per component, the larger of the
-    fractional bound and the root packing bound, whose scan stops at the
-    starting value; ``upper_bound_used`` sums the starting values. With
-    ``budget_nodes=0`` the set is the starting cover, and the status is
-    "Exact" when every component closed at its root.
+    Each component's root reads only the k-ball tuples. It takes the greedy
+    set cover (largest fresh coverage first) and the closed-form fractional
+    bound ⌈Σ_v y_v⌉ with y_v one over the size of the largest k-ball holding
+    v (every ball weighs at most 1 under y). Only if the bound is below that
+    cover does it pick the candidates and run the search's own first descent
+    with no bounding; the starting cover is the smaller one (on a tie the
+    greedy set). When the bound meets it, it is optimal and the component
+    ends with no node and no bitset; otherwise the search starts from it and
+    scans the root once. ``lower_bound_used`` sums, per component, the
+    larger of the fractional bound and the root packing bound, whose scan
+    stops at the starting value; ``upper_bound_used`` sums the starting
+    values. With ``budget_nodes=0`` the set is the starting cover, and the
+    status is "Exact" when every component closed at its root.
     An escalation changes neither: the dual bound and the Lagrangian covers
     only cut nodes and lower the value, so the certificate keeps its keys.
     ``nodes_explored`` counts the nodes below the root, each
@@ -318,32 +318,34 @@ def _fractional_lower(vertices, balls, sizes):
     return -(-sum(map(den.__floordiv__, tops)) // den)
 
 
-def _first_descent(ball, start, order, full):
-    """The search's first dive with no bounding, in local labels: each vertex
-    still uncovered, in label order (fewest candidates first), takes the
-    candidate with the most fresh coverage, ties to the lowest vertex."""
-    uncovered = full
-    chosen = 0
-    while uncovered:
-        p = (uncovered & -uncovered).bit_length() - 1
-        c = min(_iter_bits(ball[p] & start), key=lambda c: (-(ball[c] & uncovered).bit_count(), order[c]))
-        uncovered &= ~ball[c]
-        chosen |= 1 << c
+def _first_descent(order, balls, is_cand):
+    """The search's first dive with no bounding, on the k-ball tuples: each
+    vertex still uncovered, in ``order`` (fewest candidates first), takes the
+    candidate in its ball with the most fresh coverage, ties to the lowest
+    vertex; returns the candidates in the order taken."""
+    covered: set[int] = set()
+    chosen = []
+    for w in order:
+        if w not in covered:
+            c = min(is_cand.intersection(balls[w]),
+                    key=lambda c: (len(covered.intersection(balls[c])) - len(balls[c]), c))
+            covered.update(balls[c])
+            chosen.append(c)
     return chosen
 
 
 def _solve_component(vertices, balls, sizes, nodes_left, deadline):
     """Search one component with at most ``nodes_left`` nodes below the root;
     returns (chosen vertices, nodes, root bound, starting cover size, whether
-    it stopped early). ``sizes[v]`` is ``len(balls[v])``. A component whose
-    fractional bound meets its greedy cover returns that cover at once.
+    it stopped early). ``sizes[v]`` is ``len(balls[v])``. The root reads
+    only the ball tuples (see :func:`gamma_k_exact`).
 
-    Vertices are relabelled 0..m-1 by ascending candidate count, so walking
-    the bits of the uncovered mask visits them in the packing order. The
-    local bitsets are built here from the ball tuples and live only for this
-    search. On path-like labellings each table costs about m²/16 bytes: the
-    ``1 << p`` map and ``ball`` while building, then ``ball`` alone during the
-    search.
+    Only a component whose root stays open is relabelled 0..m-1 by ascending
+    candidate count, so walking the bits of the uncovered mask visits them in
+    the packing order, and gets local bitsets, built from the ball tuples for
+    this search alone. On path-like labellings each table costs about m²/16
+    bytes: the ``1 << p`` map and ``ball`` while building, then ``ball``
+    alone during the search.
 
     Each stack entry is (covered, allowed, chosen), its size the bit count of
     ``chosen``. At the escalation (:func:`gamma_k_exact` says when),
@@ -361,25 +363,23 @@ def _solve_component(vertices, balls, sizes, nodes_left, deadline):
     Lagrangian bound meets the incumbent. Past the escalation the scan stops
     at the first vertex with two candidates left and branches there, since
     the weights now do the cutting that the rest of the packing scan did."""
-    cands = _undominated(vertices, balls)
-    is_cand = set(cands)
-    order = sorted(vertices, key=lambda w: (len(is_cand.intersection(balls[w])), w))
+    start = _greedy_cover(vertices, balls)
+    bound = _fractional_lower(vertices, balls, sizes)
+    if bound < len(start):
+        cands = _undominated(vertices, balls)
+        is_cand = set(cands)
+        order = sorted(vertices, key=lambda w: (len(is_cand.intersection(balls[w])), w))
+        start = min(start, _first_descent(order, balls, is_cand), key=len)  # on a tie the greedy set stays
+    best = upper = len(start)
+    if bound >= upper:  # the starting cover is optimal
+        return start, 0, bound, upper, False
     bit = {v: 1 << p for p, v in enumerate(order)}
     ball = [sum(map(bit.__getitem__, balls[v])) for v in order]
-    start = sum(map(bit.__getitem__, cands))
+    allowed_at_root = sum(map(bit.__getitem__, cands))
+    best_set = sum(map(bit.__getitem__, start))
     del bit
     full = (1 << len(order)) - 1
-    greedy = _greedy_cover(ball, order)
-    upper = greedy.bit_count()
-    bound = _fractional_lower(vertices, balls, sizes)
-    if bound >= upper:  # the greedy cover is optimal, and no descent can beat it
-        return [order[p] for p in _iter_bits(greedy)], 0, bound, upper, False
-    # on a tie min keeps the greedy set
-    best_set = min(greedy, _first_descent(ball, start, order, full), key=int.bit_count)
-    best = upper = best_set.bit_count()
-    root_lb = bound
-    nodes = 0
-    stopped = False
+    root_lb, nodes, stopped = bound, 0, False
     y = None  # the dual weights, once the search has escalated
 
     def prune():
@@ -391,7 +391,7 @@ def _solve_component(vertices, balls, sizes, nodes_left, deadline):
         else:
             stack[:] = [e for e in stack if total - weigh(e[0]) <= limit - e[2].bit_count() * SCALE]
 
-    stack = [(0, start, 0)]  # (covered, allowed, chosen)
+    stack = [(0, allowed_at_root, 0)]  # (covered, allowed, chosen)
     while stack:
         covered, allowed, chosen = stack.pop()
         size = chosen.bit_count()
@@ -402,7 +402,7 @@ def _solve_component(vertices, balls, sizes, nodes_left, deadline):
             if (nodes & 2047 == 2047 and y is None
                     and (nodes + 1) * len(ball) >= _ESCALATION_DELAY * sum(map(int.bit_count, ball))):
                 y, cover, lower, costs, dear = dual.escalate(
-                    [list(_iter_bits(b)) for b in ball], list(_iter_bits(start)), best)
+                    [list(_iter_bits(b)) for b in ball], list(_iter_bits(allowed_at_root)), best)
                 if cover is not None:
                     best, best_set = len(cover), sum(1 << p for p in cover)
                 weigh, total = dual.weigher(y), sum(y)

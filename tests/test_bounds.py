@@ -193,17 +193,28 @@ class TestBoundsReport:
         assert len(calls) == 3
         assert all(r.ub_greedy == r.exact.upper_bound_used for r in reports)
 
-    def test_report_memory_on_long_path(self):
-        # the solver's transient local bitsets (about n^2/16 bytes per table)
-        # must be freed one by one: the tables held side by side peak far higher
-        g = path(10000)
+    @staticmethod
+    def _report_peak(g):
         tracemalloc.start()
         try:
             bounds_report(g, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 20 * 2**20
+        return peak
+
+    def test_report_memory_on_long_path(self):
+        # a path closes at its root, so the solver builds no local bitsets
+        # (about n^2/16 bytes per table): what remains, the k-ball table and
+        # the root's vertex sets, is linear in n
+        assert self._report_peak(path(10000)) < 20 * 2**20
+
+    @pytest.mark.parametrize("make", [path, cycle])
+    def test_report_memory_grows_linearly(self, make):
+        # the graphs are built outside the traced region; with the local
+        # bitsets the peak grew about 3.7x per doubling of n, so about 14x here
+        small, large = make(20000), make(80000)
+        assert self._report_peak(large) < 8 * self._report_peak(small)
 
 
 class TestProductBoundCheck:

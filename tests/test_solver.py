@@ -30,11 +30,6 @@ from kdom.dual import SCALE, escalate, lagrangian, weigher
 from kdom.solver import ORACLE_MAX_N, _fractional_lower, _greedy_cover, _undominated
 
 
-def _masks(balls):
-    # the k-ball tuples as bitsets in the identity labelling _greedy_cover takes
-    return [sum(1 << u for u in ball) for ball in balls]
-
-
 class TestIsKDominating:
     def test_cycle_pair(self):
         assert is_k_dominating(cycle(6), {0, 3}, 1)
@@ -193,7 +188,7 @@ class TestGreedyUpper:
     def test_smaller_cover_when_descent_beats_greedy(self):
         # the greedy cover takes 9 vertices here, the first descent 8 = gamma_2
         g = clique_expanded_path(40, 3)
-        assert _greedy_cover(_masks(g.balls(2)), range(g.n)).bit_count() == 9
+        assert len(_greedy_cover(tuple(range(g.n)), g.balls(2))) == 9
         cert = gamma_k_exact(g, 2, budget_nodes=0)
         assert cert.upper_bound_used == cert.value == 8 and cert.status == "Exact"
         assert is_k_dominating(g, cert.vertices, 2)
@@ -203,21 +198,20 @@ class TestGreedyUpper:
         for _ in range(60):
             g = random_connected(rng, rng.randint(1, 40), rng.uniform(0.02, 0.3))
             for k in (1, 2, 3):
-                greedy = _greedy_cover(_masks(g.balls(k)), range(g.n)).bit_count()
+                greedy = len(_greedy_cover(tuple(range(g.n)), g.balls(k)))
                 assert gamma_k_exact(g, k, budget_nodes=0).upper_bound_used <= greedy
 
     @staticmethod
     def _spy(monkeypatch, name):
-        """Record, as vertex tuples, the covers ``kdom.solver.<name>`` returns;
-        both covers take the labelling ``order`` as an argument."""
+        """Record, as sorted tuples, the vertex lists ``kdom.solver.<name>``
+        returns."""
         covers = []
         original = getattr(kdom.solver, name)
 
         def spy(*args):
-            mask = original(*args)
-            order = args[1] if name == "_greedy_cover" else args[2]
-            covers.append(tuple(sorted(order[p] for p in range(len(order)) if mask >> p & 1)))
-            return mask
+            cover = original(*args)
+            covers.append(tuple(sorted(cover)))
+            return cover
 
         monkeypatch.setattr(kdom.solver, name, spy)
         return covers
@@ -537,8 +531,8 @@ class TestFractionalBound:
 
 class TestClosesAtTheRoot:
     """The greedy or the first-descent cover meets a root bound (the packing
-    or the fractional bound) on the paper's tight families, so the search
-    explores no node."""
+    or the fractional bound) on the paper's tight families, and wherever a
+    cover meets it the search explores no node."""
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_paths_and_cycles_need_no_budget(self, k):
@@ -557,6 +551,31 @@ class TestClosesAtTheRoot:
             cert = gamma_k_exact(g, k)
             assert cert.status == "Exact" and cert.nodes_explored == 0
             assert cert.value == gamma_path_cycle(n_base, k, "path")
+
+    @pytest.mark.parametrize("build, k", [(lambda: random_connected(random.Random(62), 30, 2.5 / 30), 2),
+                                          (lambda: _sparse(4, 90), 3)], ids=["connected-62-30", "sparse-4-90"])
+    def test_descent_that_meets_the_bound_needs_no_node(self, build, k):
+        # the first descent beats the greedy cover and meets the fractional
+        # bound, so the root closes with no search
+        cert = gamma_k_exact(build(), k)
+        assert cert.status == "Exact" and cert.nodes_explored == 0
+        assert cert.lower_bound_used == cert.upper_bound_used == cert.value == 2
+
+    def test_a_met_bound_always_closes_the_root(self):
+        rng = random.Random(71)
+        closed = 0
+        for _ in range(150):
+            n = rng.randint(1, 60)
+            if rng.random() < 0.8:
+                g = random_connected(rng, n, rng.uniform(1.0, 4.0) / n)
+            else:
+                g = random_graph(rng, n, rng.uniform(0.02, 0.2))
+            for k in (1, 2, 3):
+                cert = gamma_k_exact(g, k)
+                if cert.lower_bound_used >= cert.upper_bound_used:
+                    assert cert.nodes_explored == 0, (g.edges, k)
+                    closed += 1
+        assert closed > 250
 
     def test_large_tree_k2_k3(self):
         g = random_tree(random.Random(3), 3000)
@@ -611,7 +630,7 @@ def _dual(g: Graph, k: int):
     labelling, from the greedy cover: (y, cover, lower, candidates, greedy)."""
     balls = g.balls(k)
     cands = _undominated(tuple(range(g.n)), balls)
-    greedy = _greedy_cover(_masks(balls), range(g.n)).bit_count()
+    greedy = len(_greedy_cover(tuple(range(g.n)), balls))
     y, cover, lower = lagrangian([list(b) for b in balls], cands, greedy)
     return y, cover, lower, cands, greedy
 
@@ -743,7 +762,7 @@ class TestEscalation:
         balls = g.balls(1)
         members = [list(b) for b in balls]  # the identity labelling
         cands = _undominated(tuple(range(g.n)), balls)
-        y, _, _, costs, dear = escalate(members, cands, _greedy_cover(_masks(balls), range(g.n)).bit_count())
+        y, _, _, costs, dear = escalate(members, cands, len(_greedy_cover(tuple(range(g.n)), balls)))
         reduced = {c: SCALE - sum(y[v] for v in members[c]) for c in cands}
         width = -(-len(cands) // 256)
         assert len(costs) <= 256 and len(dear) == len(costs) + 1 and len(set(reduced.values())) > 2
