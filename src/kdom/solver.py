@@ -22,12 +22,11 @@ fixed order with exactly rounded sums.
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from dataclasses import dataclass
 from bisect import bisect_right
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Iterator
 
 from . import dual
@@ -149,24 +148,65 @@ def gamma_k_oracle(g: Graph, k: int) -> Certificate:
     raise AssertionError("V(G) itself must dominate")  # pragma: no cover
 
 
-def _greedy_cover(vertices: tuple[int, ...], balls: tuple[tuple[int, ...], ...]) -> list[int]:
-    """Greedy set cover of one component on the k-ball tuples: take the ball
-    with the most vertices not yet covered, ties to the lowest centre, until
-    all are covered; returns the centres in the order taken. Coverage only
-    shrinks, so stale heap entries are upper bounds (lazy greedy)."""
-    heap = [(-len(balls[v]), v) for v in vertices]
-    heapq.heapify(heap)
-    covered: set[int] = set()
+def _greedy_cover(vertices: tuple[int, ...], balls: tuple[tuple[int, ...], ...], sizes=None) -> list[int]:
+    """Greedy set cover of one component (``vertices`` ascending) on the
+    k-ball tuples: take the ball with the most vertices not yet covered, ties
+    to the lowest centre, until all are covered; returns the centres in the
+    order taken (Chvátal 1979). ``sizes[v]`` is ``len(balls[v])``.
+
+    Each centre's gain, its count of uncovered ball vertices, is kept exact:
+    covering u lowers by one the gain of every centre in ``balls[u]``, which
+    by symmetry are the balls holding u. Gains only fall and none exceeds its
+    ball, so at each level L, from the largest ball down, the picks are the
+    centres still at gain L in ascending order. They are found by
+    ``list.index`` scans: over the live gains while at least half the
+    centres have balls of L or more vertices, otherwise over a snapshot of
+    just those centres, each hit re-checked against its live gain. The scans
+    thus cost at most about 2·Σ|B|, and the updates Σ|B|. A component that
+    is not the whole graph is relabelled to positions 0..m-1 first."""
+    if sizes is None:
+        sizes = list(map(len, balls))
+    m = len(vertices)
+    if m == len(balls):  # the whole graph: positions are the vertices
+        members, gains = balls, list(sizes)
+    else:
+        pos = {v: p for p, v in enumerate(vertices)}
+        members = [[pos[u] for u in balls[v]] for v in vertices]
+        gains = [sizes[v] for v in vertices]
+    ascending = sorted(gains)
+    pivot = ascending[m // 2]  # at least half the balls hold this many vertices
+    by_size: dict[int, list[int]] = {}  # the larger balls' centres, by size
+    if ascending[-1] > pivot:
+        for p in compress(range(m), map(pivot.__lt__, gains)):
+            by_size.setdefault(gains[p], []).append(p)
+    gains.append(0)  # position m: a sentinel set to each level, so no scan raises
+    covered = bytearray(m)
+    left = m
     chosen = []
-    while len(covered) < len(vertices):
-        stored, v = heapq.heappop(heap)
-        gain = len(balls[v]) - len(covered.intersection(balls[v]))
-        if gain == -stored:
-            covered.update(balls[v])
-            chosen.append(v)
-        elif gain:
-            heapq.heappush(heap, (-gain, v))
-    return chosen
+    tall: list[int] | range = []  # ascending positions whose balls hold at least `level` vertices
+    for level in range(ascending[-1], 0, -1):
+        if level > pivot:
+            tall += by_size.get(level, ())
+            tall.sort()  # two ascending runs: a linear merge
+            scan = [*map(gains.__getitem__, tall), level]
+        else:
+            tall, scan = range(m), gains
+            gains[m] = level
+        i = scan.index(level)
+        while i < len(tall):
+            c = tall[i]
+            if gains[c] == level:  # only a snapshot goes stale
+                chosen.append(vertices[c])
+                for u in members[c]:
+                    if not covered[u]:
+                        covered[u] = 1
+                        left -= 1
+                        for w in members[u]:
+                            gains[w] -= 1
+                if not left:
+                    return chosen
+            i = scan.index(level, i + 1)
+    raise AssertionError("every vertex lies in its own ball")  # pragma: no cover
 
 
 def packing_lower(g: Graph, k: int) -> int:
@@ -238,9 +278,10 @@ def gamma_k_exact(
     v (every ball weighs at most 1 under y). Only if the bound is below that
     cover does it pick the candidates and run the search's own first descent
     with no bounding; the starting cover is the smaller one (on a tie the
-    greedy set). When the bound meets it, it is optimal and the component
-    ends with no node and no bitset; otherwise the search starts from it and
-    scans the root once. ``lower_bound_used`` sums, per component, the
+    greedy set). When the bound meets it, or else the root packing bound
+    does (the search's root scan, made first on the candidate tuples), it is
+    optimal and the component ends with no node and no bitset; otherwise the
+    search starts from it and scans the root once more on its bitsets. ``lower_bound_used`` sums, per component, the
     larger of the fractional bound and the root packing bound, whose scan
     stops at the starting value; ``upper_bound_used`` sums the starting
     values. With ``budget_nodes=0`` the set is the starting cover, and the
@@ -318,16 +359,17 @@ def _fractional_lower(vertices, balls, sizes):
     return -(-sum(map(den.__floordiv__, tops)) // den)
 
 
-def _first_descent(order, balls, is_cand):
+def _first_descent(order, balls, options):
     """The search's first dive with no bounding, on the k-ball tuples: each
     vertex still uncovered, in ``order`` (fewest candidates first), takes the
-    candidate in its ball with the most fresh coverage, ties to the lowest
-    vertex; returns the candidates in the order taken."""
+    candidate in ``options[w]`` (its ball's candidates) with the most fresh
+    coverage, ties to the lowest vertex; returns the candidates in the order
+    taken."""
     covered: set[int] = set()
     chosen = []
     for w in order:
         if w not in covered:
-            c = min(is_cand.intersection(balls[w]),
+            c = min(options[w],
                     key=lambda c: (len(covered.intersection(balls[c])) - len(balls[c]), c))
             covered.update(balls[c])
             chosen.append(c)
@@ -363,23 +405,34 @@ def _solve_component(vertices, balls, sizes, nodes_left, deadline):
     Lagrangian bound meets the incumbent. Past the escalation the scan stops
     at the first vertex with two candidates left and branches there, since
     the weights now do the cutting that the rest of the packing scan did."""
-    start = _greedy_cover(vertices, balls)
+    start = _greedy_cover(vertices, balls, sizes)
     bound = _fractional_lower(vertices, balls, sizes)
     if bound < len(start):
         cands = _undominated(vertices, balls)
         is_cand = set(cands)
-        order = sorted(vertices, key=lambda w: (len(is_cand.intersection(balls[w])), w))
-        start = min(start, _first_descent(order, balls, is_cand), key=len)  # on a tie the greedy set stays
+        options = {w: tuple(filter(is_cand.__contains__, balls[w])) for w in vertices}  # each vertex's candidates
+        order = sorted(vertices, key=lambda w: (len(options[w]), w))
+        start = min(start, _first_descent(order, balls, options), key=len)  # on a tie the greedy set stays
     best = upper = len(start)
     if bound >= upper:  # the starting cover is optimal
         return start, 0, bound, upper, False
+    packed: set[int] = set()  # the search's root packing scan, made before any bitset is built
+    count = 0
+    for w in order:
+        if packed.isdisjoint(options[w]):
+            packed.update(options[w])
+            count += 1
+            if count >= upper:  # the starting cover is optimal
+                return start, 0, count, upper, False
+    del packed, options
+    root_lb = max(count, bound)
     bit = {v: 1 << p for p, v in enumerate(order)}
     ball = [sum(map(bit.__getitem__, balls[v])) for v in order]
     allowed_at_root = sum(map(bit.__getitem__, cands))
     best_set = sum(map(bit.__getitem__, start))
     del bit
     full = (1 << len(order)) - 1
-    root_lb, nodes, stopped = bound, 0, False
+    nodes, stopped = 0, False
     y = None  # the dual weights, once the search has escalated
 
     def prune():
@@ -457,6 +510,4 @@ def _solve_component(vertices, balls, sizes, nodes_left, deadline):
                     kids.append((covered | ball[p], allowed, chosen | 1 << p))
                     allowed ^= 1 << p
                 stack.extend(reversed(kids))
-        if not size:
-            root_lb = max(count, bound)
     return [order[p] for p in _iter_bits(best_set)], nodes, root_lb, upper, stopped

@@ -47,3 +47,16 @@ def open_root() -> Graph:
     bounds reach 2 and its greedy cover takes 3 = gamma_1, so with a node
     budget of 0 the solve stops UpperBoundOnly."""
     return random_connected(random.Random(2), 8, 0.3)
+
+
+def broom(levels: int) -> Graph:
+    """Hubs 0..levels-1 joined in a path, hub h carrying levels - h leaves
+    (numbered after the hubs, hub by hub): a tree with
+    n = levels(levels+1)/2 + levels whose k = 1 balls hold up to levels + 2
+    vertices on the hubs, nearly all sizes different, and 2 on the leaves."""
+    edges = [(h, h + 1) for h in range(levels - 1)]
+    n = levels
+    for h in range(levels):
+        edges += [(h, leaf) for leaf in range(n, n + levels - h)]
+        n += levels - h
+    return Graph(n, edges)

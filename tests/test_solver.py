@@ -1,11 +1,13 @@
 import math
 import random
+import time
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
 
-from conftest import complete, open_root, petersen, random_connected, random_graph, random_tree, star
+from conftest import broom, complete, open_root, petersen, random_connected, random_graph, random_tree, star
 from kdom import (
     Certificate,
     DisconnectedInput,
@@ -468,6 +470,61 @@ def _with_twin(g: Graph, v: int) -> Graph:
     return Graph(g.n + 1, [*g.edges, (v, g.n), *((u, g.n) for u in g.adj[v])])
 
 
+class TestGreedyCover:
+    """``_greedy_cover`` against a reference that recounts every centre's
+    uncovered ball vertices at each step."""
+
+    @staticmethod
+    def _reference(vertices, balls):
+        uncovered = set(vertices)
+        chosen = []
+        while uncovered:
+            c = max(vertices, key=lambda v: (len(uncovered.intersection(balls[v])), -v))
+            chosen.append(c)
+            uncovered.difference_update(balls[c])
+        return chosen
+
+    def test_matches_reference(self):
+        rng = random.Random(73)
+        graphs = [Graph(1, []), Graph(5, []), complete(5), star(6), petersen()]
+        graphs += [make(n) for make in (path, cycle) for n in (3, 4, 7, 20, 61)]
+        graphs += [clique_expanded_path(n, delta) for n in (3, 5, 14) for delta in (2, 3)]
+        graphs += [broom(levels) for levels in (1, 2, 3, 6, 11)]
+        for _ in range(60):
+            n = rng.randint(1, 40)
+            if rng.random() < 0.5:
+                graphs.append(random_connected(rng, n, rng.uniform(0.5, 4.0) / n))
+            else:
+                graphs.append(random_graph(rng, n, rng.uniform(0.5, 3.0) / n))
+        assert sum(not g.is_connected() for g in graphs) > 20
+        for g in graphs:
+            for k in (1, 2, 3):
+                balls = g.balls(k)
+                sizes = list(map(len, balls))
+                for vertices in g.components():
+                    cover = _greedy_cover(vertices, balls, sizes)
+                    assert cover == self._reference(vertices, balls), (g.edges, k, vertices)
+                    assert _greedy_cover(vertices, balls) == cover
+
+    def test_no_cliff_on_a_broom(self):
+        # a broom's k = 1 balls take about 700 sizes, each on few hubs; a scan
+        # of every centre at every size took about 25x as long as on the path
+        def seconds(g):
+            balls = g.balls(1)
+            vertices = tuple(range(g.n))
+            sizes = list(map(len, balls))
+            best = math.inf
+            for _ in range(2):
+                t0 = time.perf_counter()
+                _greedy_cover(vertices, balls, sizes)
+                best = min(best, time.perf_counter() - t0)
+            return best
+
+        g = broom(700)
+        assert g.n == 246_050
+        assert seconds(g) <= 5 * seconds(path(g.n))
+
+
 class TestUndominated:
     """``_undominated`` against a reference that compares every pair of balls
     in a component as sets, not only the balls centred in each other."""
@@ -576,6 +633,22 @@ class TestClosesAtTheRoot:
                     assert cert.nodes_explored == 0, (g.edges, k)
                     closed += 1
         assert closed > 250
+
+    def test_broom_closes_before_any_bitset(self):
+        # the root packing meets the greedy cover on this tree, so no local
+        # bitsets (about n^2/16 bytes, 84.5 MB here) are built
+        g = broom(200)
+        g.balls(1)  # the ball table and the components are not part of the peak
+        g.components()
+        tracemalloc.start()
+        try:
+            cert = gamma_k_exact(g, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cert.status == "Exact" and cert.nodes_explored == 0
+        assert cert.value == cert.lower_bound_used == 200
+        assert peak < 12 * 2**20
 
     def test_large_tree_k2_k3(self):
         g = random_tree(random.Random(3), 3000)
