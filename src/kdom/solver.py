@@ -148,11 +148,11 @@ def gamma_k_oracle(g: Graph, k: int) -> Certificate:
     raise AssertionError("V(G) itself must dominate")  # pragma: no cover
 
 
-def _greedy_cover(vertices: tuple[int, ...], balls: tuple[tuple[int, ...], ...], sizes=None) -> list[int]:
+def _greedy_cover(vertices: tuple[int, ...], balls: tuple[tuple[int, ...], ...]) -> list[int]:
     """Greedy set cover of one component (``vertices`` ascending) on the
     k-ball tuples: take the ball with the most vertices not yet covered, ties
     to the lowest centre, until all are covered; returns the centres in the
-    order taken (Chvátal 1979). ``sizes[v]`` is ``len(balls[v])``.
+    order taken (Chvátal 1979).
 
     Each centre's gain, its count of uncovered ball vertices, is kept exact:
     covering u lowers by one the gain of every centre in ``balls[u]``, which
@@ -164,15 +164,13 @@ def _greedy_cover(vertices: tuple[int, ...], balls: tuple[tuple[int, ...], ...],
     just those centres, each hit re-checked against its live gain. The scans
     thus cost at most about 2·Σ|B|, and the updates Σ|B|. A component that
     is not the whole graph is relabelled to positions 0..m-1 first."""
-    if sizes is None:
-        sizes = list(map(len, balls))
     m = len(vertices)
     if m == len(balls):  # the whole graph: positions are the vertices
-        members, gains = balls, list(sizes)
+        members = balls
     else:
         pos = {v: p for p, v in enumerate(vertices)}
         members = [[pos[u] for u in balls[v]] for v in vertices]
-        gains = [sizes[v] for v in vertices]
+    gains = list(map(len, members))
     ascending = sorted(gains)
     pivot = ascending[m // 2]  # at least half the balls hold this many vertices
     by_size: dict[int, list[int]] = {}  # the larger balls' centres, by size
@@ -405,7 +403,7 @@ def _solve_component(vertices, balls, sizes, nodes_left, deadline):
     Lagrangian bound meets the incumbent. Past the escalation the scan stops
     at the first vertex with two candidates left and branches there, since
     the weights now do the cutting that the rest of the packing scan did."""
-    start = _greedy_cover(vertices, balls, sizes)
+    start = _greedy_cover(vertices, balls)
     bound = _fractional_lower(vertices, balls, sizes)
     if bound < len(start):
         cands = _undominated(vertices, balls)
