@@ -7,9 +7,8 @@ NP-hard, so exactness here means exhaustive search: a brute-force enumerator
 over the equivalent set-cover formulation (`gamma_k_exact`: dominated
 candidates dropped, a closed-form fractional bound at the root, fewest-
 candidates branching, a disjoint-candidate packing bound at every node, an
-explicit stack and no distance matrix) for everything
-at desk scale. Both return a :class:`Certificate` whose set can be re-verified
-independently with :func:`is_k_dominating`.
+explicit stack and no distance matrix) for everything at desk scale. Both
+return a :class:`Certificate` whose set :func:`is_k_dominating` re-verifies.
 
 A long search escalates once to a Lagrangian bound; see :func:`gamma_k_exact`.
 
@@ -26,7 +25,7 @@ import math
 import time
 from dataclasses import dataclass
 from bisect import bisect_right
-from itertools import combinations, compress
+from itertools import combinations, compress, takewhile
 from typing import Iterable, Iterator
 
 from . import dual
@@ -51,10 +50,11 @@ class Certificate:
     connected inputs). ``lower_bound_used`` is the root lower bound, summed
     over the components: for each, the larger of the disjoint-candidate
     packing count and the closed-form fractional bound. ``upper_bound_used``
-    is the size of the starting cover, the greedy set cover or, where the
-    root stays open and it is smaller, the search's first descent (see
-    :func:`gamma_k_exact`); it is left out of :meth:`to_dict`, so the JSON
-    schema is unchanged (``kdom bounds`` reports it as ``upper_bounds.greedy``).
+    is the size of the starting cover: the greedy set cover or, where the
+    fractional bound is below it and the first descent is smaller, that
+    descent, which may then close the root (see :func:`gamma_k_exact`). It
+    is left out of :meth:`to_dict` (``kdom bounds`` reports it as
+    ``upper_bounds.greedy``).
     """
 
     k: int
@@ -257,9 +257,8 @@ def gamma_k_exact(
     Each node is bounded by a greedy packing of uncovered vertices with
     pairwise disjoint candidate sets, each needing its own dominator; the one
     scan that computes it also picks the branch vertex, and stops once the
-    node is cut. ``g.metrics()`` is not called.
-    Disconnected inputs are solved per component and summed, with the
-    component count recorded in the certificate.
+    node is cut. Disconnected inputs are solved per component and summed,
+    with the component count recorded in the certificate.
 
     A component whose search is still open at a clock check escalates once,
     after that check, if it has explored at least 150 nodes per vertex of
@@ -272,29 +271,26 @@ def gamma_k_exact(
 
     Each component's root reads only the k-ball tuples. It takes the greedy
     set cover (largest fresh coverage first) and the closed-form fractional
-    bound ⌈Σ_v y_v⌉ with y_v one over the size of the largest k-ball holding
-    v (every ball weighs at most 1 under y). Only if the bound is below that
-    cover does it pick the candidates and run the search's own first descent
-    with no bounding; the starting cover is the smaller one (on a tie the
-    greedy set). When the bound meets it, or else the root packing bound
-    does (the search's root scan, made first on the candidate tuples), it is
-    optimal and the component ends with no node and no bitset; otherwise the
-    search starts from it and scans the root once more on its bitsets. ``lower_bound_used`` sums, per component, the
-    larger of the fractional bound and the root packing bound, whose scan
-    stops at the starting value; ``upper_bound_used`` sums the starting
-    values. With ``budget_nodes=0`` the set is the starting cover, and the
-    status is "Exact" when every component closed at its root.
-    An escalation changes neither: the dual bound and the Lagrangian covers
-    only cut nodes and lower the value, so the certificate keeps its keys.
-    ``nodes_explored`` counts the nodes below the root, each
-    charged to ``budget_nodes``; a negative budget acts like 0.
-    A search stops when it needs node ``budget_nodes + 1`` (so
-    ``nodes_explored`` then equals ``budget_nodes``) or, checked once every
-    2048 nodes, when ``budget_seconds`` have passed (``inf`` never stops a
-    search; NaN raises ``ValueError``). Every component after
-    the one that stopped gets no nodes and keeps its starting cover. Status is
-    "Exact" when no search stopped, otherwise "UpperBoundOnly" with the best
-    incumbent found. The empty graph has no components: value 0, "Exact".
+    bound ⌈Σ_v y_v⌉, y_v one over the size of the largest k-ball holding v
+    (every ball weighs at most 1 under y). Only if the bound is below that
+    cover does it pick the candidates and scan them once (:func:`_root_scan`)
+    for the first descent, the packing bound and the root's steps; the
+    starting cover is the smaller of the greedy set and the descent (the
+    greedy set on a tie). A root bound that meets it closes the component
+    with no node and no bitset; otherwise the search starts from the steps.
+    Per component, ``lower_bound_used`` sums the larger root bound and
+    ``upper_bound_used`` the starting cover's size; an escalation, which only
+    cuts nodes and lowers the value, changes neither. With ``budget_nodes=0``
+    the set is the starting cover, "Exact" if every component closed at its
+    root. ``nodes_explored`` counts the nodes below the root, each charged
+    to ``budget_nodes``; a negative budget acts like 0. A search stops when
+    it needs node ``budget_nodes + 1`` (so ``nodes_explored`` then equals
+    ``budget_nodes``) or, checked once every 2048 nodes, when
+    ``budget_seconds`` have passed (``inf`` never stops a search; NaN raises
+    ``ValueError``). Every component after the one that stopped gets no
+    nodes and keeps its starting cover. Status is "Exact" when no search
+    stopped, otherwise "UpperBoundOnly" with the best incumbent found. The
+    empty graph has no components: value 0, "Exact".
     """
     _check_k(k)
     if math.isnan(budget_seconds):
@@ -357,35 +353,48 @@ def _fractional_lower(vertices, balls, sizes):
     return -(-sum(map(den.__floordiv__, tops)) // den)
 
 
-def _first_descent(order, balls, options):
-    """The search's first dive with no bounding, on the k-ball tuples: each
-    vertex still uncovered, in ``order`` (fewest candidates first), takes the
-    candidate in ``options[w]`` (its ball's candidates) with the most fresh
-    coverage, ties to the lowest vertex; returns the candidates in the order
-    taken."""
+def _root_scan(vertices, balls, cands):
+    """The root's state from one pass over the k-ball tuples: (order, descent,
+    count, steps). ``order`` lists the vertices by ascending count of
+    candidates (``cands`` in their balls), ties to the lower vertex. In that
+    order the first descent, the search's dive with no bounding, gives each
+    vertex still uncovered its candidate with the most fresh coverage (ties
+    to the lowest), and ``count`` (≤ γ_k) packs the vertices whose candidates
+    miss those packed before. The steps are the forced candidates (a vertex's
+    only one) as one step, else a child per candidate of ``order[0]`` by
+    descending ball size (fresh coverage at the root), ties to the lowest."""
+    is_cand = set(cands)
+    options = {w: tuple(filter(is_cand.__contains__, balls[w])) for w in vertices}
+    order = sorted(vertices, key=lambda w: (len(options[w]), w))
     covered: set[int] = set()
-    chosen = []
+    packed: set[int] = set()
+    descent = []
+    count = 0
     for w in order:
         if w not in covered:
-            c = min(options[w],
-                    key=lambda c: (len(covered.intersection(balls[c])) - len(balls[c]), c))
+            c = min(options[w], key=lambda c: (len(covered.intersection(balls[c])) - len(balls[c]), c))
             covered.update(balls[c])
-            chosen.append(c)
-    return chosen
+            descent.append(c)
+        if packed.isdisjoint(options[w]):
+            packed.update(options[w])
+            count += 1
+    forced = {options[w][0] for w in takewhile(lambda w: len(options[w]) == 1, order)}
+    if forced:
+        return order, descent, count, [sorted(forced)]
+    return order, descent, count, [[c] for c in sorted(options[order[0]], key=lambda c: (-len(balls[c]), c))]
 
 
 def _solve_component(vertices, balls, sizes, nodes_left, deadline):
     """Search one component with at most ``nodes_left`` nodes below the root;
     returns (chosen vertices, nodes, root bound, starting cover size, whether
     it stopped early). ``sizes[v]`` is ``len(balls[v])``. The root reads
-    only the ball tuples (see :func:`gamma_k_exact`).
-
-    Only a component whose root stays open is relabelled 0..m-1 by ascending
-    candidate count, so walking the bits of the uncovered mask visits them in
-    the packing order, and gets local bitsets, built from the ball tuples for
-    this search alone. On path-like labellings each table costs about m²/16
-    bytes: the ``1 << p`` map and ``ball`` while building, then ``ball``
-    alone during the search.
+    only the ball tuples (see :func:`gamma_k_exact`); only a component whose
+    root stays open is relabelled 0..m-1 in ``order``, so walking the bits
+    of the uncovered mask follows the packing order, and gets local bitsets,
+    built from the ball tuples for this search alone (about m²/16 bytes per
+    table on path-like labellings: the ``1 << p`` map and ``ball`` while
+    building, then ``ball`` alone). The stack starts from the root's steps,
+    so each node the loop pops lies below the root.
 
     Each stack entry is (covered, allowed, chosen), its size the bit count of
     ``chosen``. At the escalation (:func:`gamma_k_exact` says when),
@@ -396,38 +405,31 @@ def _solve_component(vertices, balls, sizes, nodes_left, deadline):
     incumbent. From then on a popped node weighs its uncovered vertices as
     ``total - weigh(covered)``; it is cut when that weight is above
     ``(room - 1) * SCALE`` (``room`` = incumbent size - node size), and a
-    candidate is dropped at it when that weight plus its reduced cost is (at
-    the root: Σy + reduced cost > (incumbent - 1) * SCALE). ``prune()``
-    weighs the open entries and drops those the weights cut, at the
-    escalation and at each new incumbent, and clears the stack once the
+    candidate is dropped at it when that weight plus its reduced cost is.
+    ``prune()`` weighs the open entries and drops those the weights cut, at
+    the escalation and at each new incumbent, and clears the stack once the
     Lagrangian bound meets the incumbent. Past the escalation the scan stops
     at the first vertex with two candidates left and branches there, since
     the weights now do the cutting that the rest of the packing scan did."""
     start = _greedy_cover(vertices, balls)
-    bound = _fractional_lower(vertices, balls, sizes)
-    if bound < len(start):
+    root_lb = _fractional_lower(vertices, balls, sizes)
+    if root_lb < len(start):
         cands = _undominated(vertices, balls)
-        is_cand = set(cands)
-        options = {w: tuple(filter(is_cand.__contains__, balls[w])) for w in vertices}  # each vertex's candidates
-        order = sorted(vertices, key=lambda w: (len(options[w]), w))
-        start = min(start, _first_descent(order, balls, options), key=len)  # on a tie the greedy set stays
+        order, descent, count, steps = _root_scan(vertices, balls, cands)
+        start = min(start, descent, key=len)  # on a tie the greedy set stays
+        root_lb = max(root_lb, count)
     best = upper = len(start)
-    if bound >= upper:  # the starting cover is optimal
-        return start, 0, bound, upper, False
-    packed: set[int] = set()  # the search's root packing scan, made before any bitset is built
-    count = 0
-    for w in order:
-        if packed.isdisjoint(options[w]):
-            packed.update(options[w])
-            count += 1
-            if count >= upper:  # the starting cover is optimal
-                return start, 0, count, upper, False
-    del packed, options
-    root_lb = max(count, bound)
+    if root_lb >= upper:  # the starting cover is optimal
+        return start, 0, root_lb, upper, False
     bit = {v: 1 << p for p, v in enumerate(order)}
     ball = [sum(map(bit.__getitem__, balls[v])) for v in order]
-    allowed_at_root = sum(map(bit.__getitem__, cands))
+    allowed_at_root = allowed = sum(map(bit.__getitem__, cands))
     best_set = sum(map(bit.__getitem__, start))
+    stack = []  # (covered, allowed, chosen): the first step on top, each later child excluding the earlier ones
+    for step in steps:
+        chosen = sum(map(bit.__getitem__, step))
+        stack.insert(0, (sum(map(bit.__getitem__, set().union(*map(balls.__getitem__, step)))), allowed, chosen))
+        allowed ^= chosen
     del bit
     full = (1 << len(order)) - 1
     nodes, stopped = 0, False
@@ -442,25 +444,23 @@ def _solve_component(vertices, balls, sizes, nodes_left, deadline):
         else:
             stack[:] = [e for e in stack if total - weigh(e[0]) <= limit - e[2].bit_count() * SCALE]
 
-    stack = [(0, allowed_at_root, 0)]  # (covered, allowed, chosen)
     while stack:
         covered, allowed, chosen = stack.pop()
         size = chosen.bit_count()
-        if size:
-            if nodes >= nodes_left or nodes & 2047 == 2047 and time.monotonic() > deadline:
-                stopped = True
-                break
-            if (nodes & 2047 == 2047 and y is None
-                    and (nodes + 1) * len(ball) >= _ESCALATION_DELAY * sum(map(int.bit_count, ball))):
-                y, cover, lower, costs, dear = dual.escalate(
-                    [list(_iter_bits(b)) for b in ball], list(_iter_bits(allowed_at_root)), best)
-                if cover is not None:
-                    best, best_set = len(cover), sum(1 << p for p in cover)
-                weigh, total = dual.weigher(y), sum(y)
-                stack.append((covered, allowed, chosen))  # this node, to be weighed too
-                prune()
-                continue
-            nodes += 1
+        if nodes >= nodes_left or nodes & 2047 == 2047 and time.monotonic() > deadline:
+            stopped = True
+            break
+        if (nodes & 2047 == 2047 and y is None
+                and (nodes + 1) * len(ball) >= _ESCALATION_DELAY * sum(map(int.bit_count, ball))):
+            y, cover, lower, costs, dear = dual.escalate(
+                [list(_iter_bits(b)) for b in ball], list(_iter_bits(allowed_at_root)), best)
+            if cover is not None:
+                best, best_set = len(cover), sum(1 << p for p in cover)
+            weigh, total = dual.weigher(y), sum(y)
+            stack.append((covered, allowed, chosen))  # this node, to be weighed too
+            prune()
+            continue
+        nodes += 1
         if covered == full:
             if size < best:
                 best, best_set = size, chosen

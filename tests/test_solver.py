@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 import time
@@ -29,7 +31,7 @@ from kdom import (
 import kdom.dual
 import kdom.solver
 from kdom.dual import SCALE, escalate, lagrangian, weigher
-from kdom.solver import ORACLE_MAX_N, _fractional_lower, _greedy_cover, _undominated
+from kdom.solver import ORACLE_MAX_N, _fractional_lower, _greedy_cover, _root_scan, _undominated
 
 
 class TestIsKDominating:
@@ -204,36 +206,35 @@ class TestGreedyUpper:
                 assert gamma_k_exact(g, k, budget_nodes=0).upper_bound_used <= greedy
 
     @staticmethod
-    def _spy(monkeypatch, name):
+    def _spy(monkeypatch, name, pick=lambda result: result):
         """Record, as sorted tuples, the vertex lists ``kdom.solver.<name>``
-        returns."""
+        returns; ``pick`` takes the list out of the result."""
         covers = []
         original = getattr(kdom.solver, name)
 
         def spy(*args):
-            cover = original(*args)
-            covers.append(tuple(sorted(cover)))
-            return cover
+            result = original(*args)
+            covers.append(tuple(sorted(pick(result))))
+            return result
 
         monkeypatch.setattr(kdom.solver, name, spy)
         return covers
 
+    @staticmethod
+    def _descent(state):
+        return state[1]  # _root_scan returns (order, descent, count, steps)
+
     def test_descent_only_where_the_root_stays_open(self, monkeypatch):
         # the path's and Petersen's fractional bounds meet their greedy covers,
-        # so no descent runs there; each copy of open_root() gets one
-        descents = self._spy(monkeypatch, "_first_descent")
-        parts = [path(7), petersen(), open_root(), open_root()]
-        edges, n = [], 0
-        for part in parts:
-            edges += [(u + n, v + n) for u, v in part.edges]
-            n += part.n
-        cert = gamma_k_exact(Graph(n, edges), 1)
+        # so no root scan runs there; each copy of open_root() gets one
+        descents = self._spy(monkeypatch, "_root_scan", self._descent)
+        cert = gamma_k_exact(_disjoint_union(path(7), petersen(), open_root(), open_root()), 1)
         assert cert.value == 3 + 3 + 2 * 3 and cert.status == "Exact" and cert.components == 4
         assert descents == [(17, 19, 23), (25, 27, 31)]
         assert cert.nodes_explored == 2 * gamma_k_exact(open_root(), 1).nodes_explored > 0
 
     def test_descent_skipped_when_the_root_closes(self, monkeypatch):
-        descents = self._spy(monkeypatch, "_first_descent")
+        descents = self._spy(monkeypatch, "_root_scan", self._descent)
         for g in (path(30), cycle(31), petersen(), complete(6), star(9)):
             for k in (1, 2, 3):
                 cert = gamma_k_exact(g, k)
@@ -242,7 +243,7 @@ class TestGreedyUpper:
 
     def test_tie_keeps_greedy_set(self, monkeypatch):
         greedy = self._spy(monkeypatch, "_greedy_cover")
-        descents = self._spy(monkeypatch, "_first_descent")
+        descents = self._spy(monkeypatch, "_root_scan", self._descent)
         g = random_connected(random.Random(10), 11, 0.25)
         cert = gamma_k_exact(g, 1, budget_nodes=0)
         assert greedy == [(7, 9, 10)] and descents == [(0, 1, 7)]
@@ -583,6 +584,61 @@ class TestFractionalBound:
         assert gamma_k_exact(open_root(), 1).nodes_explored > 0
 
 
+class TestRootScan:
+    """``_root_scan`` against a reference that works on the candidate sets
+    directly: the order, the first descent, the packing count and the root's
+    steps."""
+
+    @staticmethod
+    def _reference(vertices, balls):
+        """(order, descent, count, steps) of one component, on sets. A
+        vertex's candidates are the members of its ball whose ball no other
+        ball contains (of equal balls the lowest index stays)."""
+        cands = set(TestUndominated._reference(vertices, balls))
+        options = {w: {c for c in balls[w] if c in cands} for w in vertices}
+        order = sorted(vertices, key=lambda w: (len(options[w]), w))
+        covered, descent = set(), []
+        for w in order:
+            if w not in covered:
+                c = max(options[w], key=lambda c: (len(set(balls[c]) - covered), -c))
+                descent.append(c)
+                covered.update(balls[c])
+        packed = []
+        for w in order:
+            if all(options[w].isdisjoint(options[u]) for u in packed):
+                packed.append(w)
+        forced = {c for w in vertices if len(options[w]) == 1 for c in options[w]}
+        if forced:
+            steps = [sorted(forced)]
+        else:
+            fewest = min(vertices, key=lambda w: (len(options[w]), w))
+            steps = [[c] for c in sorted(options[fewest], key=lambda c: (-len(balls[c]), c))]
+        return order, descent, len(packed), steps
+
+    def test_matches_reference(self):
+        rng = random.Random(79)
+        graphs = [open_root(), *(broom(levels) for levels in (1, 2, 3, 6, 11))]
+        for _ in range(40):
+            n = rng.randint(6, 60)
+            graphs.append(random_connected(rng, n, rng.uniform(1.0, 4.0) / n))
+        for _ in range(20):
+            graphs.append(random_graph(rng, rng.randint(6, 30), rng.uniform(0.03, 0.15)))
+        assert sum(not g.is_connected() for g in graphs) > 10
+        kinds = {"forced": 0, "children": 0}
+        for g in graphs:
+            for k in (1, 2, 3):
+                balls = g.balls(k)
+                counts = 0
+                for vertices in g.components():
+                    state = _root_scan(vertices, balls, _undominated(vertices, balls))
+                    assert state == self._reference(vertices, balls), (g.edges, k, vertices)
+                    counts += state[2]
+                    kinds["forced" if len(state[3]) == 1 else "children"] += 1
+                if g.n <= ORACLE_MAX_N:
+                    assert counts <= gamma_k_oracle(g, k).value  # the packing count never exceeds gamma_k
+        assert min(kinds.values()) > 40, kinds
+
+
 class TestClosesAtTheRoot:
     """The greedy or the first-descent cover meets a root bound (the packing
     or the fractional bound) on the paper's tight families, and wherever a
@@ -887,6 +943,45 @@ class TestEscalation:
 
 def _sparse(seed: int, n: int) -> Graph:
     return random_connected(random.Random(seed), n, 2.5 / n)
+
+
+def _disjoint_union(*parts: Graph) -> Graph:
+    edges, n = [], 0
+    for part in parts:
+        edges += [(u + n, v + n) for u, v in part.edges]
+        n += part.n
+    return Graph(n, edges)
+
+
+# (id, graph, k, how each component's root search starts) of solves whose
+# roots stay open; in each the starting cover is above the optimum, so an
+# incumbent the budget stops depends on the root's steps, their order and
+# what each later child excludes
+OPEN_ROOTS = [
+    ("forced-15-40", lambda: _sparse(15, 40), 1, ["forced"]),
+    ("forced-3-30", lambda: _sparse(3, 30), 1, ["forced"]),
+    ("children-6-30", lambda: _sparse(6, 30), 1, ["children"]),
+    ("children-15-40", lambda: _sparse(15, 40), 2, ["children"]),
+    # the first component needs 237 nodes, so budget 100 stops there
+    ("disconnected", lambda: _disjoint_union(_sparse(9, 30), _sparse(3, 30), open_root()), 1,
+     ["children", "forced", "forced"]),
+]
+
+
+def test_search_order_pinned():
+    rows = []
+    for name, build, k, kinds in OPEN_ROOTS:
+        g = build()
+        steps = [TestRootScan._reference(vertices, g.balls(k))[3] for vertices in g.components()]
+        assert ["forced" if len(s) == 1 else "children" for s in steps] == kinds, name
+        for budget in (0, 1, 7, 100, kdom.solver.DEFAULT_BUDGET_NODES):
+            cert = gamma_k_exact(g, k, budget_nodes=budget)
+            assert cert.lower_bound_used < cert.upper_bound_used
+            rows.append([name, budget, cert.to_dict(), cert.upper_bound_used])
+    # the certificates as the search produced them when the root was popped
+    # from the stack and scanned on its bitsets like every other node
+    text = json.dumps(rows, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == "030ef6d4ce07f7342f4562f79b893a0c7c0109638df0f5542af72d070c6bab89"
 
 
 # (id, graph, k, gamma_k, committed ceiling on nodes_explored). The counts are
