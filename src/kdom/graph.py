@@ -6,7 +6,8 @@ and k-balls are sorted vertex tuples too, so the graph holds no bitsets: a
 k-ball table costs O(sum of ball sizes), and only the exact solver builds
 bitsets, for a component whose root stays open. A 1-ball is read off
 ``adj``, and a larger ball is the union of the cached (k-1)-balls of its
-closed neighbourhood when that table exists, a BFS to depth k otherwise.
+closed neighbourhood when that table exists, a BFS to depth k otherwise;
+centres with equal (k-1)-balls then share one k-ball tuple.
 Distances are plain hop counts; inside a BFS distance row "unreachable" is
 the sentinel value n (strictly larger than any realizable distance), while
 reporting-level quantities (diameter, radius, girth, eccentricity) use
@@ -24,7 +25,7 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import IndexOutOfRange, SimplenessViolation
 
@@ -123,24 +124,14 @@ class Graph:
         return dist
 
     def closed_k_neighborhood(self, v: int, k: int) -> tuple[int, ...]:
-        """The vertices within distance ``k`` of ``v`` (k >= 0), ascending.
-
-        The 1-ball is read off ``adj``. A larger ball is the union of the
-        (k-1)-balls of ``v``'s closed neighbourhood when that table is
-        already cached, and a BFS otherwise; no table is built to grow from.
-        """
+        """The vertices within distance ``k`` of ``v`` (k >= 0), ascending:
+        read off ``adj`` for k = 1, from a BFS to depth k otherwise."""
         self._check_vertex(v)
         if k < 0:
             raise ValueError("k must be >= 0")
         adj = self.adj
         if k == 1:
             return tuple(sorted((v, *adj[v])))
-        prev = self._balls.get(k - 1)
-        if prev is not None:
-            seen = set(prev[v])
-            for u in adj[v]:
-                seen.update(prev[u])
-            return tuple(sorted(seen))
         seen = {v}
         frontier = [v]
         for _ in range(min(k, self.n - 1)):
@@ -158,14 +149,22 @@ class Graph:
     def balls(self, k: int) -> tuple[tuple[int, ...], ...]:
         """The closed k-neighborhood of every vertex, as ascending vertex
         tuples, computed once per k and cached; the same tuple is returned on
-        every call. Memory is O(sum of ball sizes); a table grows from the
-        (k-1)-table when that one is cached (see :meth:`closed_k_neighborhood`)."""
+        every call. Memory is O(sum of ball sizes). A table grows from the
+        cached (k-1)-table, where centres with equal (k-1)-balls share one
+        k-ball tuple (true twins at k = 2, whole cells of a clique-expanded
+        path); otherwise each ball comes from :meth:`closed_k_neighborhood`,
+        and no lower table is built only to grow from."""
         if k < 0:
             raise ValueError("k must be >= 0")
         table = self._balls.get(k)
-        if table is None:
+        if table is not None:
+            return table
+        prev = self._balls.get(k - 1)
+        if prev is None:
             table = tuple(self.closed_k_neighborhood(v, k) for v in range(self.n))
-            self._balls[k] = table
+        else:
+            table = tuple(_grown_balls(prev, self.adj))
+        self._balls[k] = table
         return table
 
     def components(self) -> tuple[tuple[int, ...], ...]:
@@ -260,12 +259,6 @@ def from_edge_list(n: int, pairs: Iterable[tuple[int, int]], strict: bool = Fals
     raises :class:`SimplenessViolation`; otherwise they are dropped and a
     single warning reports how many were discarded.
     """
-    return _from_pairs(n, pairs, strict)
-
-
-def _from_pairs(n: int, pairs: Iterable[tuple[int, int]], strict: bool) -> Graph:
-    """:func:`from_edge_list` for a public caller one frame up: the warning
-    names the line that called that caller."""
     if n < 0:
         raise ValueError("vertex count must be >= 0")
     seen: set[tuple[int, int]] = set()
@@ -289,9 +282,32 @@ def _from_pairs(n: int, pairs: Iterable[tuple[int, int]], strict: bool) -> Graph
     if loops or dupes:
         warnings.warn(
             f"dropped {loops} self-loop(s) and {dupes} duplicate edge(s)",
-            stacklevel=3,
+            stacklevel=2,
         )
     return Graph(n, seen)
+
+
+def _grown_balls(
+    prev: tuple[tuple[int, ...], ...], adj: tuple[tuple[int, ...], ...]
+) -> Iterator[tuple[int, ...]]:
+    """Yield each vertex's k-ball, the union of the (k-1)-balls ``prev`` of
+    its closed neighbourhood. That is also the closed neighbourhood of its own
+    (k-1)-ball, so equal (k-1)-balls grow into one shared tuple. Only a ball's
+    own vertices can hold it, so its memo entry goes once the scan passes the
+    ball's highest vertex: on path-like labellings the memo stays short."""
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    order: deque[tuple[int, ...]] = deque()  # the keys of ``shared``, oldest first
+    for v, ball in enumerate(prev):
+        grown = shared.get(ball)
+        if grown is None:
+            while order and order[0][-1] < v:
+                del shared[order.popleft()]
+            seen = set(ball)
+            for u in adj[v]:
+                seen.update(prev[u])
+            grown = shared[ball] = tuple(sorted(seen))
+            order.append(ball)
+        yield grown
 
 
 def _compute_metrics(g: Graph) -> Metrics:

@@ -13,6 +13,7 @@ from kdom import (
     SimplenessViolation,
     clique_expanded_path,
     cycle,
+    direct_product,
     from_edge_list,
     path,
 )
@@ -265,6 +266,51 @@ class TestClosedKNeighborhood:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20
+
+
+def ball_graphs() -> list[Graph]:
+    rng = random.Random(31)
+    return (
+        [random_graph(rng, rng.randint(1, 14), rng.random()) for _ in range(24)]
+        + [clique_expanded_path(b, d) for b, d in ((3, 1), (4, 2), (6, 3), (9, 4))]
+        + [complete(n) for n in (1, 2, 5, 8)]
+        + [direct_product(petersen(), complete(3)), direct_product(cycle(5), path(4)),
+           direct_product(complete(4), complete(4))]
+        # leaves 1 and 2 of hub 0, then 0-3-4: equal 2-balls, unequal 1-balls
+        + [Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])]
+    )
+
+
+class TestGrownBallTables:
+    @pytest.mark.parametrize("g", ball_graphs(), ids=repr)
+    def test_tables_match_cold_bfs(self, g):
+        # asked for in ascending k, so every table past the first grows from the one below
+        rows = [g.bfs_distances(v) for v in range(g.n)]
+        for k in range(1, 5):
+            reach = min(k, g.n - 1)  # the sentinel n means unreachable
+            assert g.balls(k) == tuple(tuple(u for u, d in enumerate(row) if d <= reach) for row in rows)
+
+    @pytest.mark.parametrize("g", ball_graphs(), ids=repr)
+    def test_equal_lower_balls_share_one_tuple(self, g):
+        for k in range(2, 5):
+            lower, table = g.balls(k - 1), g.balls(k)
+            for v in range(g.n):
+                for w in range(g.n):
+                    assert (table[v] is table[w]) == (lower[v] == lower[w])
+
+    def test_clique_cells_share_their_balls(self):
+        g = clique_expanded_path(6, 3)  # ends 0 and 13, cells {1,2,3} ... {10,11,12}
+        g.balls(1)
+        for k in (2, 3):
+            table = g.balls(k)
+            assert len({id(ball) for ball in table}) == 6
+            assert all(table[c] is table[c + 1] is table[c + 2] for c in range(1, 13, 3))
+
+    def test_false_twins_share_from_k_3(self):
+        g = Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+        assert g.balls(1)[1] != g.balls(1)[2]
+        assert g.balls(2)[1] is not g.balls(2)[2]
+        assert g.balls(3)[1] is g.balls(3)[2]
 
 
 class TestMetrics:

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 
@@ -6,6 +7,7 @@ import kdom.io
 from conftest import random_graph
 from kdom import (
     CountMismatch,
+    Graph,
     IndexOutOfRange,
     ParseError,
     SimplenessViolation,
@@ -105,3 +107,155 @@ class TestRoundTrip:
         for _ in range(10):
             g = random_graph(rng, rng.randint(1, 10), rng.random())
             assert serialize_edge_list(g) == serialize_edge_list(parse_edge_list(serialize_edge_list(g)))
+
+
+def reference_parse(text: str, strict: bool = True) -> Graph:
+    """The line-by-line reader, kept as a reference for the bulk one: every
+    line is checked as it is read, then the pairs go through
+    ``from_edge_list``'s ordered loop and repeat checks."""
+    n = m = None
+    pairs = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "_" in line or "+" in line or not line.isascii():
+            raise ParseError("fields must be ASCII decimal integers", lineno)
+        fields = line.split()
+        if n is None:
+            if len(fields) != 2:
+                raise ParseError("header must be 'n m'", lineno)
+            try:
+                n, m = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise ParseError("header must hold two integers", lineno) from None
+            if n < 0 or m < 0:
+                raise ParseError("header counts must be non-negative", lineno)
+            if n > kdom.io.MAX_VERTICES:
+                raise ParseError(
+                    f"header declares {n} vertices, above the cap of {kdom.io.MAX_VERTICES}", lineno)
+            continue
+        if len(fields) != 2:
+            raise ParseError("edge line must be 'u v'", lineno)
+        try:
+            u, v = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise ParseError("edge endpoints must be integers", lineno) from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise IndexOutOfRange(f"line {lineno}: edge ({u},{v}) outside [0, {n})")
+        pairs.append((u, v))
+    if n is None:
+        raise ParseError("missing 'n m' header", None)
+    if len(pairs) != m:
+        raise CountMismatch(f"header declares {m} edges but found {len(pairs)}", None)
+    return from_edge_list(n, pairs, strict)
+
+
+# every separator str.splitlines knows, and whitespace a line may end in
+LINE_BREAKS = ("\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+               "\x85", "\u2028", "\u2029")
+PADS = ("", "", "", " ", "\t", "  \t", "\x1f", "\xa0", "\u3000", "\u2003")
+# what may stand between two fields; the last two, non-ASCII, are refused
+GAPS = (" ", " ", " ", "\t", "  ", " \t ", "\x1f", "\xa0", "\u3000")
+FULLWIDTH = str.maketrans("0123456789", "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")
+
+
+def _field(rng: random.Random, value: int, odd: float) -> str:
+    if rng.random() >= odd:
+        return str(value)
+    return rng.choice((f"0{value}", f"-{value}", f"+{value}", f"{value}_0", "-0", "-00",
+                       str(value).translate(FULLWIDTH), "x", "1.0", "--1", ""))
+
+
+def _line(rng: random.Random, a: int, b: int, odd: float) -> str:
+    """An edge or header line; ``odd`` is the chance of each kind of fault."""
+    fields = [_field(rng, a, odd), _field(rng, b, odd)]
+    if rng.random() < odd:
+        fields.append(_field(rng, rng.randint(0, 9), odd))
+    elif rng.random() < odd:
+        fields.pop()
+    gap = rng.choice(GAPS[:-2] if rng.random() >= odd else GAPS[-2:])
+    text = gap.join(fields)
+    if rng.random() < odd:
+        text += " # trailing"
+    return rng.choice(PADS) + text + rng.choice(PADS)
+
+
+def _filler(rng: random.Random) -> str:
+    return rng.choice(("", "  ", "\t", "#", "# a comment", "  # 1 2", "#\u00e9 \uff11 +_", "\xa0"))
+
+
+def random_edge_text(rng: random.Random) -> str:
+    """Edge-list text that is valid more often than not, with seeded faults:
+    odd separators and padding, loops, repeats, out-of-range endpoints, wrong
+    edge counts, bad headers, the vertex cap and refused field forms."""
+    n = rng.randint(0, 9)
+    odd = rng.choice((0, 0, 0.02, 0.1))
+    pairs = []
+    for _ in range(rng.randint(0, 12)):
+        fault = rng.random()
+        if n < 2 or fault < odd / 2:
+            pairs.append((rng.choice((n, n + 1, -1, 0)), rng.randint(0, max(n - 1, 0))))
+        elif fault < odd:
+            pairs.append((rng.randrange(n),) * 2)
+        elif pairs and fault < 2 * odd:
+            u, v = rng.choice(pairs)
+            pairs.append((v, u) if rng.random() < 0.5 else (u, v))
+        else:
+            pairs.append(tuple(rng.sample(range(n), 2)))
+    m = len(pairs) + (rng.choice((-1, 1, 2)) if rng.random() < 2 * odd else 0)
+    header = _line(rng, n, max(m, 0), odd)
+    if rng.random() < odd:
+        header = rng.choice((f"{n}", f"{n} {m} 1", "a b", f"-1 {m}", f"{n} -1", "",
+                             f"{kdom.io.MAX_VERTICES + 1} 0", f"{n}\xa0{m}", f"-0 {m}"))
+    lines = [_filler(rng) for _ in range(rng.choice((0, 0, 1, 2)))] + [header]
+    for u, v in pairs:
+        lines.extend(_filler(rng) for _ in range(rng.random() < 0.15))
+        lines.append(_line(rng, u, v, odd))
+    lines.extend(_filler(rng) for _ in range(rng.choice((0, 0, 1))))
+    text = "".join(line + rng.choice(LINE_BREAKS) for line in lines)
+    return text if rng.random() < 0.8 else text.rstrip("\n")
+
+
+def _outcome(read, text: str, strict: bool):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            g = read(text, strict)
+        except Exception as exc:
+            result = (type(exc), str(exc), getattr(exc, "line", None))
+        else:
+            result = (g.n, g.m, g.adj)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestBulkReaderAgainstLineByLine:
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+    def test_seeded_texts(self, strict):
+        rng = random.Random(97)
+        kinds = set()
+        for _ in range(3000):
+            text = random_edge_text(rng)
+            want = _outcome(reference_parse, text, strict)
+            assert _outcome(parse_edge_list, text, strict) == want, repr(text)
+            kinds.add(want[0][0] if isinstance(want[0][0], type) else bool(want[1]))
+        # the seeded texts reach every outcome: graphs with and without dropped
+        # pairs, and each kind of error
+        assert {False, ParseError, IndexOutOfRange, CountMismatch} <= kinds
+        assert (SimplenessViolation in kinds) == strict and (True in kinds) != strict
+
+    @pytest.mark.parametrize("text", [
+        "2 1\r\n0 1\r\n",
+        "\u3000# c\x85 2\t1\xa0\u20290\x1f1\x1c",
+        "-0 0\n",
+        "3 1\n-0 002\n",
+        "3 1\n0 -1\n",
+        "3 2\n0 1\n1 0 # again\n",
+        "2 1\n0\xa01\n",
+        f"{kdom.io.MAX_VERTICES + 1} 0\n0 0\n",
+        "9" * 5000 + " 0\n",  # longer than int()'s default digit limit
+        "3 1\n0 " + "1" * 5000 + "\n",
+    ])
+    def test_edge_cases(self, text):
+        for strict in (True, False):
+            assert _outcome(parse_edge_list, text, strict) == _outcome(reference_parse, text, strict)
