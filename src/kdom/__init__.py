@@ -47,8 +47,8 @@ from .errors import (
     TooLarge,
 )
 from .fuzz import FuzzReport, fuzz, random_connected_graph
-from .graph import INF, Graph, Metrics, from_edge_list
-from .io import parse_edge_list, serialize_edge_list
+from .graph import INF, Graph, Metrics
+from .io import from_edge_list, parse_edge_list, serialize_edge_list
 from .solver import (
     Certificate,
     gamma_k_exact,

@@ -31,12 +31,19 @@ from .solver import Certificate, _check_k, gamma_k_exact
 # -- generators -------------------------------------------------------------
 
 
+def _check_size(what: str, order: int, size: int, error: type[Exception]) -> None:
+    """Raise ``error`` before building a graph above ``MAX_VERTICES`` or ``MAX_EDGES``."""
+    if order > MAX_VERTICES:
+        raise error(f"{what} of {order} vertices is above the cap of {MAX_VERTICES}")
+    if size > MAX_EDGES:
+        raise error(f"{what} of {size} edges is above the cap of {MAX_EDGES}")
+
+
 def path(n: int) -> Graph:
     """Path on vertices 0..n-1 in order, n at most ``MAX_VERTICES``."""
     if n < 1:
         raise InvalidOrder("path requires n >= 1")
-    if n > MAX_VERTICES:
-        raise InvalidOrder(f"path of {n} vertices is above the cap of {MAX_VERTICES}")
+    _check_size("path", n, n - 1, InvalidOrder)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
@@ -44,8 +51,7 @@ def cycle(n: int) -> Graph:
     """Cycle on vertices 0..n-1 in order, n at most ``MAX_VERTICES``."""
     if n < 3:
         raise InvalidOrder("cycle requires n >= 3")
-    if n > MAX_VERTICES:
-        raise InvalidOrder(f"cycle of {n} vertices is above the cap of {MAX_VERTICES}")
+    _check_size("cycle", n, n, InvalidOrder)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -65,13 +71,9 @@ def clique_expanded_path(n_base: int, delta: int) -> Graph:
     if delta < 1:
         raise InvalidOrder("clique size delta must be >= 1")
     order = 2 + (n_base - 2) * delta
-    if order > MAX_VERTICES:
-        raise InvalidOrder(
-            f"clique-expanded path of {order} vertices is above the cap of {MAX_VERTICES}")
     # the cliques, the joins between neighbouring cliques, and the two ends
     size = (n_base - 2) * delta * (delta - 1) // 2 + (n_base - 3) * delta * delta + 2 * delta
-    if size > MAX_EDGES:
-        raise InvalidOrder(f"clique-expanded path of {size} edges is above the cap of {MAX_EDGES}")
+    _check_size("clique-expanded path", order, size, InvalidOrder)
     cells = [[0]]
     nxt = 1
     for _ in range(n_base - 2):
@@ -100,11 +102,7 @@ def direct_product(g: Graph, h: Graph) -> Graph:
     """
     if g.n == 0 or h.n == 0:
         raise EmptyFactor("direct product requires non-empty factors")
-    if g.n * h.n > MAX_VERTICES:
-        raise TooLarge(
-            f"direct product of {g.n * h.n} vertices is above the cap of {MAX_VERTICES}")
-    if 2 * g.m * h.m > MAX_EDGES:
-        raise TooLarge(f"direct product of {2 * g.m * h.m} edges is above the cap of {MAX_EDGES}")
+    _check_size("direct product", g.n * h.n, 2 * g.m * h.m, TooLarge)
     edges = []
     for (g1, g2), (h1, h2) in product(g.edges, h.edges):  # reads each edge set once
         edges.append((g1 * h.n + h1, g2 * h.n + h2))

@@ -22,7 +22,6 @@ scan of the 2-core that deletes each root after its BFS; see
 from __future__ import annotations
 
 import math
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -46,8 +45,8 @@ class Graph:
         """Build a graph from loop-free edges; repeats, in either orientation, collapse.
 
         An endpoint outside [0, n) raises :class:`IndexOutOfRange` and a loop
-        :class:`SimplenessViolation`. Most callers should use
-        :func:`from_edge_list`, which validates and canonicalizes raw input.
+        :class:`SimplenessViolation`; :func:`kdom.io.from_edge_list` drops
+        loops and repeats from raw pairs, or names the first one.
         """
         self.n = n
         adj: list[list[int]] = [[] for _ in range(n)]
@@ -250,41 +249,6 @@ class Metrics:
     radius: float
     girth: float
     connected: bool
-
-
-def from_edge_list(n: int, pairs: Iterable[tuple[int, int]], strict: bool = False) -> Graph:
-    """Canonical Graph from raw index pairs.
-
-    In strict mode any self-loop or duplicate edge (in either orientation)
-    raises :class:`SimplenessViolation`; otherwise they are dropped and a
-    single warning reports how many were discarded.
-    """
-    if n < 0:
-        raise ValueError("vertex count must be >= 0")
-    seen: set[tuple[int, int]] = set()
-    loops = 0
-    dupes = 0
-    for u, v in pairs:
-        if not (0 <= u < n and 0 <= v < n):
-            raise IndexOutOfRange(f"edge ({u},{v}) uses a vertex outside [0, {n})")
-        if u == v:
-            if strict:
-                raise SimplenessViolation(f"self-loop at vertex {u}")
-            loops += 1
-            continue
-        edge = (u, v) if u < v else (v, u)
-        if edge in seen:
-            if strict:
-                raise SimplenessViolation(f"duplicate edge ({u},{v})")
-            dupes += 1
-            continue
-        seen.add(edge)
-    if loops or dupes:
-        warnings.warn(
-            f"dropped {loops} self-loop(s) and {dupes} duplicate edge(s)",
-            stacklevel=2,
-        )
-    return Graph(n, seen)
 
 
 def _grown_balls(

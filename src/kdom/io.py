@@ -6,7 +6,7 @@ lines) are ignored.
 Valid text is read in bulk: one regular expression checks the shape of every
 line, ``int`` converts all fields, the header's cap and edge count are checked
 before anything the size of n exists, one ``max`` range-checks the endpoints,
-and loops and repeats are counted from the pair count against ``Graph.m``.
+and the pairs go to the same pair stage as :func:`from_edge_list`'s.
 When a bulk check fails, a line-by-line pass raises the first fault.
 Serialization is canonical — edges sorted with the lower endpoint first — so
 parse(serialize(G)) reproduces G exactly and serialized graphs are safe to
@@ -18,10 +18,11 @@ from __future__ import annotations
 import operator
 import re
 import warnings
-from typing import NoReturn
+from itertools import starmap
+from typing import Iterable, NoReturn
 
-from .errors import CountMismatch, IndexOutOfRange, ParseError
-from .graph import Graph, from_edge_list
+from .errors import CountMismatch, IndexOutOfRange, ParseError, SimplenessViolation, TooLarge
+from .graph import Graph
 
 MAX_VERTICES = 1_000_000
 # generated graphs only: a parsed file's edges are bounded by its own text
@@ -44,17 +45,50 @@ def parse_edge_list(text: str, strict: bool = True) -> Graph:
     ends = _fields(lines)
     if ends is None:
         _raise_first_fault(lines)
-    n, us, vs = ends[0], ends[2::2], ends[3::2]
-    loops = sum(map(operator.eq, us, vs))
-    g = Graph(n, [(u, v) for u, v in zip(us, vs) if u != v] if loops else zip(us, vs))
-    dropped = len(us) - g.m
-    if dropped:
-        if strict:
-            from_edge_list(n, zip(us, vs), strict=True)  # raises on the first loop or repeat
+    return _from_pairs(ends[0], list(zip(ends[2::2], ends[3::2])), strict)
+
+
+def from_edge_list(n: int, pairs: Iterable[tuple[int, int]], strict: bool = False) -> Graph:
+    """Canonical Graph from raw index pairs, n at most ``MAX_VERTICES``.
+
+    The first pair outside [0, n) raises :class:`IndexOutOfRange`. In strict
+    mode the first self-loop or duplicate edge (in either orientation) raises
+    :class:`SimplenessViolation`; otherwise they are dropped and a single
+    warning reports how many were discarded.
+    """
+    if n < 0:
+        raise ValueError("vertex count must be >= 0")
+    if n > MAX_VERTICES:
+        raise TooLarge(f"graph of {n} vertices is above the cap of {MAX_VERTICES}")
+    return _from_pairs(n, list(pairs), strict)
+
+
+def _from_pairs(n: int, pairs: list[tuple[int, int]], strict: bool) -> Graph:
+    """Both readers' pair stage. ``Graph`` range-checks the pairs (only
+    in-range loops are taken out first) and collapses repeats, counted
+    against ``Graph.m``. Only when it refused a pair, or strict mode dropped
+    one, are the pairs read again in order to raise the first fault."""
+    loops = sum(starmap(operator.eq, pairs))
+    try:
+        g = Graph(n, [(u, v) for u, v in pairs if u != v or not 0 <= u < n] if loops else pairs)
+    except IndexOutOfRange:
+        g = None
+    if g is None or strict and g.m < len(pairs):
+        seen = set()
+        for u, v in pairs:
+            if not (0 <= u < n and 0 <= v < n):
+                raise IndexOutOfRange(f"edge ({u},{v}) uses a vertex outside [0, {n})")
+            edge = (u, v) if u < v else (v, u)
+            if strict and u == v:
+                raise SimplenessViolation(f"self-loop at vertex {u}")
+            if strict and edge in seen:
+                raise SimplenessViolation(f"duplicate edge ({u},{v})")
+            seen.add(edge)
+        raise AssertionError("Graph refused pairs that read one by one")
+    dropped = len(pairs) - g.m
+    if dropped:  # stacklevel 3 names the caller of the public reader
         warnings.warn(
-            f"dropped {loops} self-loop(s) and {dropped - loops} duplicate edge(s)",
-            stacklevel=2,
-        )
+            f"dropped {loops} self-loop(s) and {dropped - loops} duplicate edge(s)", stacklevel=3)
     return g
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 import warnings
 
 import pytest
@@ -11,6 +12,7 @@ from kdom import (
     IndexOutOfRange,
     ParseError,
     SimplenessViolation,
+    TooLarge,
     cycle,
     from_edge_list,
     parse_edge_list,
@@ -92,6 +94,124 @@ class TestParse:
         assert [w.filename for w in record] == [__file__]
 
 
+class TestFromEdgeList:
+    def test_vertex_cap_before_allocation(self):
+        # refused before the n adjacency lists exist: at the cap they take
+        # about 64 MB under tracemalloc
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match="above the cap"):
+                from_edge_list(kdom.io.MAX_VERTICES + 1, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    @pytest.mark.parametrize("n, pairs", [
+        (3, [(0, 0), (0, 5)]),  # a loop before a range fault
+        (3, [(0, 1), (1, 0), (-1, 2)]),  # a repeat before a range fault
+        (3, [(-1, -1)]),  # out-of-range loops
+        (3, [(3, 3), (1, 1)]),
+        (3, [(-4, 1)]),
+        (3, [(2, -1)]),  # -1 indexes a list from the end
+        (-1, []),
+        (0, []),
+        (0, [(0, 0)]),
+        (1, [(0, 0), (0, 0)]),
+        (4, [(0, 1), (2, 2), (1, 0), (0, 1), (3, 3)]),
+    ])
+    def test_edge_cases(self, n, pairs):
+        for strict in (True, False):
+            want = _pair_outcome(reference_from_edge_list, n, pairs, strict)
+            assert _pair_outcome(from_edge_list, n, pairs, strict) == want
+
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+    def test_seeded_pairs(self, strict):
+        rng = random.Random(61)
+        kinds = set()
+        for _ in range(2000):
+            n, pairs = random_pairs(rng)
+            want = _pair_outcome(reference_from_edge_list, n, pairs, strict)
+            # a one-shot iterator as often as a list
+            got = _pair_outcome(from_edge_list, n, iter(pairs) if rng.random() < 0.5 else pairs, strict)
+            assert got == want, (n, pairs)
+            kinds.add(want[0][0] if isinstance(want[0][0], type) else bool(want[1]))
+            if want[0][0] is SimplenessViolation and any(max(p) >= n or min(p) < 0 for p in pairs):
+                kinds.add("before a range fault")
+            if n == 0:
+                kinds.add("n = 0")
+        assert {False, IndexOutOfRange, "n = 0"} <= kinds
+        assert (SimplenessViolation in kinds) == strict and (True in kinds) != strict
+        assert ("before a range fault" in kinds) == strict
+
+
+def reference_from_edge_list(n: int, pairs, strict: bool = False) -> Graph:
+    """The ordered pair reader, kept as a reference for the library's pair
+    stage: each pair is range-checked, then in strict mode checked for a loop
+    or a repeat, in input order, against an edge set of its own."""
+    if n < 0:
+        raise ValueError("vertex count must be >= 0")
+    seen: set[tuple[int, int]] = set()
+    loops = 0
+    dupes = 0
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise IndexOutOfRange(f"edge ({u},{v}) uses a vertex outside [0, {n})")
+        if u == v:
+            if strict:
+                raise SimplenessViolation(f"self-loop at vertex {u}")
+            loops += 1
+            continue
+        edge = (u, v) if u < v else (v, u)
+        if edge in seen:
+            if strict:
+                raise SimplenessViolation(f"duplicate edge ({u},{v})")
+            dupes += 1
+            continue
+        seen.add(edge)
+    if loops or dupes:
+        warnings.warn(
+            f"dropped {loops} self-loop(s) and {dupes} duplicate edge(s)",
+            stacklevel=2,
+        )
+    return Graph(n, seen)
+
+
+def random_pairs(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """An order n (0 included) and pairs with seeded loops, repeats in both
+    orientations and endpoints below 0 or at least n, loops among them."""
+    n = rng.randint(0, 8)
+    pairs = []
+    for _ in range(rng.randint(0, 10)):
+        fault = rng.random()
+        if n == 0 or fault < 0.08:
+            bad = rng.choice((-1, -n - 1, n, n + 1, n + 5))
+            pairs.append((bad, bad) if rng.random() < 0.3 else
+                         (bad, rng.randrange(max(n, 1)))[::rng.choice((1, -1))])
+        elif fault < 0.2:
+            pairs.append((rng.randrange(n),) * 2)
+        elif pairs and fault < 0.35:
+            u, v = rng.choice(pairs)
+            pairs.append((v, u) if rng.random() < 0.5 else (u, v))
+        else:
+            pairs.append((rng.randrange(n), rng.randrange(n)))
+    return n, pairs
+
+
+def _pair_outcome(build, n: int, pairs, strict: bool):
+    """The graph or the exception of ``build``, and each warning with the
+    file it names."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            g = build(n, pairs, strict)
+        except Exception as exc:
+            result = (type(exc), str(exc))
+        else:
+            result = (g.n, g.m, g.adj)
+    return result, [(w.category, str(w.message), w.filename) for w in caught]
+
+
 class TestRoundTrip:
     def test_serialize_is_canonical(self):
         assert serialize_edge_list(path(3)) == "3 2\n0 1\n1 2\n"
@@ -112,7 +232,7 @@ class TestRoundTrip:
 def reference_parse(text: str, strict: bool = True) -> Graph:
     """The line-by-line reader, kept as a reference for the bulk one: every
     line is checked as it is read, then the pairs go through
-    ``from_edge_list``'s ordered loop and repeat checks."""
+    ``reference_from_edge_list``'s ordered loop and repeat checks."""
     n = m = None
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -148,7 +268,7 @@ def reference_parse(text: str, strict: bool = True) -> Graph:
         raise ParseError("missing 'n m' header", None)
     if len(pairs) != m:
         raise CountMismatch(f"header declares {m} edges but found {len(pairs)}", None)
-    return from_edge_list(n, pairs, strict)
+    return reference_from_edge_list(n, pairs, strict)
 
 
 # every separator str.splitlines knows, and whitespace a line may end in
