@@ -47,15 +47,15 @@ def escalate(members, cands, best):
 
 
 def weigher(y):
-    """A function summing ``y`` over the set bits of a mask: one precomputed
-    sum per byte of the mask, whatever its bit count."""
+    """A function summing ``y`` over the set bits of a mask of at most
+    ``len(y)`` bits: one precomputed sum per byte of the mask, whatever its
+    bit count. Each byte's table doubles once per weight of its 8, so the
+    last one holds 2^r sums when r weights are left for it."""
     tables = []
     for start in range(0, len(y), 8):
-        part = y[start:start + 8] + [0] * 8
-        table = [0] * 256
-        for b in range(1, 256):
-            low = b & -b
-            table[b] = table[b ^ low] + part[low.bit_length() - 1]
+        table = [0]
+        for w in y[start:start + 8]:
+            table += [t + w for t in table]
         tables.append(table)
     size = len(tables)
     return lambda mask: sum(map(getitem, tables, mask.to_bytes(size, "little")))

@@ -396,16 +396,16 @@ def _solve_component(vertices, balls, sizes, nodes_left, deadline):
     building, then ``ball`` alone). The stack starts from the root's steps,
     so each node the loop pops lies below the root.
 
-    Each stack entry is (covered, allowed, chosen), its size the bit count of
-    ``chosen``. At the escalation (:func:`gamma_k_exact` says when),
+    Each stack entry is (uncovered, allowed, chosen, size), ``size`` the bit
+    count of ``chosen``. At the escalation (:func:`gamma_k_exact` says when),
     ``dual.escalate`` runs a subgradient on the Lagrangian of the component's
     k-ball cover for integer dual weights ``y`` under which no root
     candidate's ball weighs more than ``SCALE``, so they bound every node
     (each allows only root candidates); its Lagrangian covers may replace the
-    incumbent. From then on a popped node weighs its uncovered vertices as
-    ``total - weigh(covered)``; it is cut when that weight is above
-    ``(room - 1) * SCALE`` (``room`` = incumbent size - node size), and a
-    candidate is dropped at it when that weight plus its reduced cost is.
+    incumbent. From then on a popped node is cut when ``weigh(uncovered)`` is
+    above ``(room - 1) * SCALE`` (``room`` = incumbent size - node size), and
+    a candidate is dropped at it (one ``&`` with a complemented ban mask) when
+    that weight plus its reduced cost is.
     ``prune()`` weighs the open entries and drops those the weights cut, at
     the escalation and at each new incumbent, and clears the stack once the
     Lagrangian bound meets the incumbent. Past the escalation the scan stops
@@ -425,13 +425,14 @@ def _solve_component(vertices, balls, sizes, nodes_left, deadline):
     ball = [sum(map(bit.__getitem__, balls[v])) for v in order]
     allowed_at_root = allowed = sum(map(bit.__getitem__, cands))
     best_set = sum(map(bit.__getitem__, start))
-    stack = []  # (covered, allowed, chosen): the first step on top, each later child excluding the earlier ones
+    full = (1 << len(order)) - 1
+    stack = []  # (uncovered, allowed, chosen, size): the first step on top, each later child excluding the earlier ones
     for step in steps:
         chosen = sum(map(bit.__getitem__, step))
-        stack.insert(0, (sum(map(bit.__getitem__, set().union(*map(balls.__getitem__, step)))), allowed, chosen))
+        covered = sum(map(bit.__getitem__, set().union(*map(balls.__getitem__, step))))
+        stack.insert(0, (full ^ covered, allowed, chosen, len(step)))
         allowed ^= chosen
     del bit
-    full = (1 << len(order)) - 1
     nodes, stopped = 0, False
     y = None  # the dual weights, once the search has escalated
 
@@ -442,26 +443,25 @@ def _solve_component(vertices, balls, sizes, nodes_left, deadline):
         if lower > limit:
             stack.clear()  # the incumbent is optimal
         else:
-            stack[:] = [e for e in stack if total - weigh(e[0]) <= limit - e[2].bit_count() * SCALE]
+            stack[:] = [e for e in stack if weigh(e[0]) <= limit - e[3] * SCALE]
 
     while stack:
-        covered, allowed, chosen = stack.pop()
-        size = chosen.bit_count()
-        if nodes >= nodes_left or nodes & 2047 == 2047 and time.monotonic() > deadline:
-            stopped = True
-            break
-        if (nodes & 2047 == 2047 and y is None
-                and (nodes + 1) * len(ball) >= _ESCALATION_DELAY * sum(map(int.bit_count, ball))):
-            y, cover, lower, costs, dear = dual.escalate(
-                [list(_iter_bits(b)) for b in ball], list(_iter_bits(allowed_at_root)), best)
-            if cover is not None:
-                best, best_set = len(cover), sum(1 << p for p in cover)
-            weigh, total = dual.weigher(y), sum(y)
-            stack.append((covered, allowed, chosen))  # this node, to be weighed too
-            prune()
-            continue
+        uncovered, allowed, chosen, size = stack.pop()
+        if nodes & 2047 == 2047 or nodes >= nodes_left:
+            if nodes >= nodes_left or time.monotonic() > deadline:
+                stopped = True
+                break
+            if y is None and (nodes + 1) * len(ball) >= _ESCALATION_DELAY * sum(map(int.bit_count, ball)):
+                y, cover, lower, costs, dear = dual.escalate(
+                    [list(_iter_bits(b)) for b in ball], list(_iter_bits(allowed_at_root)), best)
+                if cover is not None:
+                    best, best_set = len(cover), sum(1 << p for p in cover)
+                weigh, bans = dual.weigher(y), [~d for d in dear]
+                stack.append((uncovered, allowed, chosen, size))  # this node, to be weighed too
+                prune()
+                continue
         nodes += 1
-        if covered == full:
+        if not uncovered:
             if size < best:
                 best, best_set = size, chosen
                 if y is not None:
@@ -471,14 +471,14 @@ def _solve_component(vertices, balls, sizes, nodes_left, deadline):
         if room <= 1:
             continue
         if y is not None:
-            slack = (room - 1) * SCALE - (total - weigh(covered))
+            slack = (room - 1) * SCALE - weigh(uncovered)
             if slack < 0:
                 continue
             # a cover through candidate j needs the uncovered weight + its reduced cost <= (room - 1) * SCALE
-            allowed &= ~dear[bisect_right(costs, slack)]
+            allowed &= bans[bisect_right(costs, slack)]
         count = packed = branch = forced = 0
         fewest = len(order) + 1
-        uncovered = rest = full & ~covered
+        rest = uncovered
         while rest:
             low = rest & -rest
             rest ^= low
@@ -499,13 +499,23 @@ def _solve_component(vertices, balls, sizes, nodes_left, deadline):
                     rest = 0  # escalated: branch on the first pair, the dual weights cut
         else:
             if forced:
-                for p in _iter_bits(forced):
-                    covered |= ball[p]
-                stack.append((covered, allowed, chosen | forced))
+                rest = forced
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    uncovered &= ~ball[low.bit_length() - 1]
+                stack.append((uncovered, allowed, chosen | forced, size + forced.bit_count()))
             else:
                 kids = []
-                for p in sorted(_iter_bits(branch), key=lambda p: (-(ball[p] & uncovered).bit_count(), order[p])):
-                    kids.append((covered | ball[p], allowed, chosen | 1 << p))
-                    allowed ^= 1 << p
-                stack.extend(reversed(kids))
+                allowed ^= branch
+                while branch:
+                    low = branch & -branch
+                    branch ^= low
+                    p = low.bit_length() - 1
+                    fresh = ball[p] & uncovered
+                    kids.append((fresh.bit_count(), -order[p], fresh, low))
+                kids.sort()  # the reverse of the search order, so the first child ends on top
+                for _, _, fresh, low in kids:
+                    allowed |= low  # each child keeps itself and the siblings searched after it
+                    stack.append((uncovered ^ fresh, allowed, chosen | low, size + 1))
     return [order[p] for p in _iter_bits(best_set)], nodes, root_lb, upper, stopped

@@ -6,6 +6,7 @@ bounds, certificates, spanning trees, witnesses) changes a SHA-256 below.
 
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -26,14 +27,27 @@ def test_every_demo_is_pinned():
     assert sorted(p.name for p in (ROOT / "demos").glob("*.py")) == sorted(STDOUT_SHA256)
 
 
-@pytest.mark.parametrize("script", sorted(STDOUT_SHA256))
-def test_demo_output_pinned(script):
+def _demo_stdout(python, script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / script)],
+        [python, str(ROOT / "demos" / script)],
         capture_output=True,
         env=env,
         check=True,
     )
-    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[script]
+    return proc.stdout
+
+
+@pytest.mark.parametrize("script", sorted(STDOUT_SHA256))
+def test_demo_output_pinned(script):
+    assert hashlib.sha256(_demo_stdout(sys.executable, script)).hexdigest() == STDOUT_SHA256[script]
+
+
+def test_declared_python_floor():
+    # pyproject.toml declares Python >= 3.10, so no 3.11-only stdlib may creep in
+    python = shutil.which("python3.10")
+    if python is None or subprocess.run([python, "-c", "pass"], capture_output=True).returncode:
+        pytest.skip("no runnable python3.10 on PATH")
+    script = "bounds_tour.py"
+    assert hashlib.sha256(_demo_stdout(python, script)).hexdigest() == STDOUT_SHA256[script]

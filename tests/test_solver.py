@@ -873,7 +873,7 @@ class TestEscalation:
 
     def test_weigher_sums_the_set_bits(self):
         rng = random.Random(45)
-        for m in (1, 9, 256, 257, 300):
+        for m in (0, 1, 8, 9, 16, 256, 257, 300):
             y = [rng.randrange(SCALE + 1) for _ in range(m)]
             weigh = weigher(y)
             for _ in range(20):
@@ -982,6 +982,28 @@ def test_search_order_pinned():
     # from the stack and scanned on its bitsets like every other node
     text = json.dumps(rows, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == "030ef6d4ce07f7342f4562f79b893a0c7c0109638df0f5542af72d070c6bab89"
+
+
+def test_heavy_search_tree_pinned(monkeypatch):
+    # sparse solves that escalate and then run out of budget, where a change to
+    # the nodes popped, their order, a cut or an incumbent shows in the result
+    calls = []
+    original = kdom.dual.lagrangian
+    monkeypatch.setattr(kdom.dual, "lagrangian", lambda *a: calls.append(a) or original(*a))
+    rng = random.Random(5)
+    rows = []
+    for n in (100, 115, 130, 150):
+        for k in (1, 2, 3):
+            g = random_connected(rng, n, 2.5 / n)
+            calls.clear()
+            cert = gamma_k_exact(g, k, budget_nodes=10_000)
+            rows.append([n, k, cert.to_dict(), cert.upper_bound_used, len(calls)])
+    escalated_then_stopped = {k for _, k, d, _, e in rows if e and d["nodes_explored"] == 10_000}
+    assert {1, 2} <= escalated_then_stopped
+    # the certificates as the search produced them before its stack entries
+    # carried the uncovered mask and the node size
+    text = json.dumps(rows, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == "970247f8b79e1b2fa693c988ee32dee0992abf9c7ac594af68cd01780eabf8a3"
 
 
 # (id, graph, k, gamma_k, committed ceiling on nodes_explored). The counts are
