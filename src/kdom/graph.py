@@ -44,10 +44,13 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         """Build a graph from loop-free edges; repeats, in either orientation, collapse.
 
-        An endpoint outside [0, n) raises :class:`IndexOutOfRange` and a loop
-        :class:`SimplenessViolation`; :func:`kdom.io.from_edge_list` drops
-        loops and repeats from raw pairs, or names the first one.
+        A negative ``n`` raises ``ValueError``, an endpoint outside [0, n)
+        :class:`IndexOutOfRange` and a loop :class:`SimplenessViolation`;
+        :func:`kdom.io.from_edge_list` drops loops and repeats from raw pairs,
+        or names the first one.
         """
+        if n < 0:
+            raise ValueError("vertex count must be >= 0")
         self.n = n
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:

@@ -273,11 +273,11 @@ def gamma_k_exact(
     set cover (largest fresh coverage first) and the closed-form fractional
     bound ⌈Σ_v y_v⌉, y_v one over the size of the largest k-ball holding v
     (every ball weighs at most 1 under y). Only if the bound is below that
-    cover does it pick the candidates and scan them once (:func:`_root_scan`)
-    for the first descent, the packing bound and the root's steps; the
-    starting cover is the smaller of the greedy set and the descent (the
-    greedy set on a tie). A root bound that meets it closes the component
-    with no node and no bitset; otherwise the search starts from the steps.
+    cover does one pass (:func:`_root_scan`) pick the candidates and give
+    the first descent, the packing bound and the root's steps; the starting
+    cover is the smaller of the greedy set and the descent (the greedy set
+    on a tie). A root bound that meets it closes the component with no node
+    and no bitset; otherwise the search starts from the steps.
     Per component, ``lower_bound_used`` sums the larger root bound and
     ``upper_bound_used`` the starting cover's size; an escalation, which only
     cuts nodes and lowers the value, changes neither. With ``budget_nodes=0``
@@ -314,15 +314,35 @@ def gamma_k_exact(
     return Certificate(k, tuple(sorted(chosen)), status, lower, upper, nodes, "BranchAndBound", len(comps))
 
 
-def _undominated(vertices: tuple[int, ...], balls: tuple[tuple[int, ...], ...]) -> list[int]:
-    """The vertices whose k-ball no other contains (of equal balls the lowest
-    index stays), ascending; a ball containing ``balls[v]`` is centred in it.
-    Containment is read off the sorted ball tuples: a shorter ball never
+def _fractional_lower(vertices, balls, sizes):
+    """⌈Σ_v y_v⌉ for y_v = 1 / (the size of the largest k-ball holding v), a
+    lower bound on the component's domination number: every ball weighs at
+    most 1 under y, so each dominator covers at most 1 of the total. Exact
+    integer arithmetic over the lcm of the distinct sizes; ``sizes[v]`` is
+    ``len(balls[v])``, and by symmetry the balls holding v are centred in
+    ``balls[v]``."""
+    tops = [max(map(sizes.__getitem__, balls[v])) for v in vertices]
+    den = math.lcm(*set(tops))
+    return -(-sum(map(den.__floordiv__, tops)) // den)
+
+
+def _root_scan(vertices, balls):
+    """The root's state from one pass over the k-ball tuples: (cands, order,
+    descent, count, steps). ``cands`` is the set of candidates, the vertices
+    whose k-ball no other contains (of equal balls the lowest index stays); a
+    ball containing ``balls[v]`` is centred in it, a shorter ball never
     contains a longer one, balls of equal length contain each other only when
     equal, and a longer ball is tested as a set, built once per centre on
-    first use."""
+    first use. ``order`` lists the vertices by ascending count of candidates
+    in their balls, ties to the lower vertex. In that order the first descent,
+    the search's dive with no bounding, gives each vertex still uncovered its
+    candidate with the most fresh coverage (ties to the lowest), and ``count``
+    (≤ γ_k) packs the vertices whose candidates miss those packed before. The
+    steps are the forced candidates (a vertex's only one) as one step, else a
+    child per candidate of ``order[0]`` by descending ball size (fresh
+    coverage at the root), ties to the lowest."""
     as_set: dict[int, frozenset[int]] = {}
-    keep = []
+    cands = set()
     for v in vertices:
         bv = balls[v]
         size = len(bv)
@@ -337,34 +357,8 @@ def _undominated(vertices: tuple[int, ...], balls: tuple[tuple[int, ...], ...]) 
             elif u < v and bu == bv:
                 break
         else:
-            keep.append(v)
-    return keep
-
-
-def _fractional_lower(vertices, balls, sizes):
-    """⌈Σ_v y_v⌉ for y_v = 1 / (the size of the largest k-ball holding v), a
-    lower bound on the component's domination number: every ball weighs at
-    most 1 under y, so each dominator covers at most 1 of the total. Exact
-    integer arithmetic over the lcm of the distinct sizes; ``sizes[v]`` is
-    ``len(balls[v])``, and by symmetry the balls holding v are centred in
-    ``balls[v]``."""
-    tops = [max(map(sizes.__getitem__, balls[v])) for v in vertices]
-    den = math.lcm(*set(tops))
-    return -(-sum(map(den.__floordiv__, tops)) // den)
-
-
-def _root_scan(vertices, balls, cands):
-    """The root's state from one pass over the k-ball tuples: (order, descent,
-    count, steps). ``order`` lists the vertices by ascending count of
-    candidates (``cands`` in their balls), ties to the lower vertex. In that
-    order the first descent, the search's dive with no bounding, gives each
-    vertex still uncovered its candidate with the most fresh coverage (ties
-    to the lowest), and ``count`` (≤ γ_k) packs the vertices whose candidates
-    miss those packed before. The steps are the forced candidates (a vertex's
-    only one) as one step, else a child per candidate of ``order[0]`` by
-    descending ball size (fresh coverage at the root), ties to the lowest."""
-    is_cand = set(cands)
-    options = {w: tuple(filter(is_cand.__contains__, balls[w])) for w in vertices}
+            cands.add(v)
+    options = {w: tuple(filter(cands.__contains__, balls[w])) for w in vertices}
     order = sorted(vertices, key=lambda w: (len(options[w]), w))
     covered: set[int] = set()
     packed: set[int] = set()
@@ -380,8 +374,8 @@ def _root_scan(vertices, balls, cands):
             count += 1
     forced = {options[w][0] for w in takewhile(lambda w: len(options[w]) == 1, order)}
     if forced:
-        return order, descent, count, [sorted(forced)]
-    return order, descent, count, [[c] for c in sorted(options[order[0]], key=lambda c: (-len(balls[c]), c))]
+        return cands, order, descent, count, [sorted(forced)]
+    return cands, order, descent, count, [[c] for c in sorted(options[order[0]], key=lambda c: (-len(balls[c]), c))]
 
 
 def _solve_component(vertices, balls, sizes, nodes_left, deadline):
@@ -414,8 +408,7 @@ def _solve_component(vertices, balls, sizes, nodes_left, deadline):
     start = _greedy_cover(vertices, balls)
     root_lb = _fractional_lower(vertices, balls, sizes)
     if root_lb < len(start):
-        cands = _undominated(vertices, balls)
-        order, descent, count, steps = _root_scan(vertices, balls, cands)
+        cands, order, descent, count, steps = _root_scan(vertices, balls)
         start = min(start, descent, key=len)  # on a tie the greedy set stays
         root_lb = max(root_lb, count)
     best = upper = len(start)

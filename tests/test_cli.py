@@ -11,7 +11,7 @@ import pytest
 import kdom.cli
 import kdom.io
 from conftest import complete, open_root
-from kdom import cycle, gamma_k_exact, path, serialize_edge_list
+from kdom import cycle, direct_product, gamma_k_exact, path, serialize_edge_list
 from kdom.cli import build_parser, main
 
 GRAPH_IO = {"--in", "--strict", "--out"}
@@ -257,6 +257,13 @@ class TestProductCommand:
         assert main([*command, "--in", str(a), "--in", str(a)]) == 2
         assert "edges is above the cap" in capsys.readouterr().err
 
+    def test_budget_stop_exit_3(self, capsys, tmp_path):
+        a, b = tmp_path / "c5.txt", tmp_path / "c7.txt"
+        a.write_text(serialize_edge_list(cycle(5)))
+        b.write_text(serialize_edge_list(cycle(7)))
+        assert main(["product", "--k", "1", "--in", str(a), "--in", str(b), "--budget-nodes", "0"]) == 3
+        assert capsys.readouterr() == ("", "kdom: exact solve of a factor or the product did not finish\n")
+
 
 class TestSpanningTreeCommand:
     def test_c6(self, capsys, tmp_path):
@@ -277,6 +284,14 @@ class TestSpanningTreeCommand:
         for r in doc["results"]:
             assert r["gamma_k"] == 0 and r["tree"] == "0 0\n"
             assert r["dominating_set"] == r["partition"] == r["connectors"] == []
+
+    def test_budget_stop_exit_3(self, capsys, tmp_path):
+        p = tmp_path / "c5xc7.txt"
+        p.write_text(serialize_edge_list(direct_product(cycle(5), cycle(7))))
+        assert main(["spanning-tree", "--k", "1", "--in", str(p), "--budget-nodes", "0"]) == 3
+        assert capsys.readouterr() == ("", "kdom: embedded exact solve did not finish within budget\n")
+        code, _ = run_cli(capsys, "spanning-tree", "--k", "1", "--in", str(p), "--budget-nodes", "100000")
+        assert code == 0
 
 
 class TestWitnessCommand:
@@ -377,6 +392,16 @@ class TestFuzzCommand:
             del doc["timing"]
             outs.append(json.dumps(doc, sort_keys=True))
         assert outs[0] == outs[1] == outs[2]
+
+    def test_byte_identical_when_the_budget_runs_out(self, capsys):
+        outs = []
+        for _ in range(2):
+            code, out = run_cli(capsys, "fuzz", "--seed", "3", "--trials", "30", "--budget-nodes", "0")
+            doc = json.loads(out)
+            assert code == 0 and doc["skipped"]["budget_exhausted"] == 25
+            del doc["timing"]
+            outs.append(json.dumps(doc, sort_keys=True))
+        assert outs[0] == outs[1]
 
 
 class TestInternalError:

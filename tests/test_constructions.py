@@ -340,6 +340,41 @@ class TestCycleOutsiderWitness:
         assert min(gap, 4 - gap) == 1
         assert wit.w not in wit.path_u and wit.u not in wit.path_w
 
+    # one input per branch of the adjacent refinement; n1 < n2 are the cycle
+    # neighbours of w, the lowest vertex of the cycle farthest from v
+    @pytest.mark.parametrize("n, edges, v, k, expected, branch", [
+        (7, [(0, 1), (0, 2), (0, 5), (0, 6), (2, 3), (2, 5), (2, 6), (3, 6), (4, 5), (5, 6)], 6, 1, (2, 0),
+         "n1 as far"),
+        (9, [(0, 3), (0, 5), (1, 2), (1, 5), (1, 7), (2, 3), (3, 4), (3, 6), (5, 6), (6, 8)], 2, 2, (5, 0),
+         "n2 as far"),
+        (9, [(0, 1), (0, 6), (0, 8), (1, 4), (1, 5), (2, 5), (3, 4), (3, 6), (3, 8), (5, 6), (5, 7), (5, 8)], 5, 2,
+         (6, 0), "n1 off the path to w"),
+    ], ids=["n1-as-far", "n2-as-far", "n1-off-path"])
+    def test_adjacent_pair_branches(self, n, edges, v, k, expected, branch):
+        g = from_edge_list(n, edges)
+        cyc = g.shortest_cycle()
+        wit = cycle_outsider_witness(g, cyc, v, k, adjacent=True)
+        assert (wit.u, wit.w) == expected
+        dist_v = g.bfs_distances(v)
+        i = cyc.index(wit.w)
+        n1, n2 = sorted((cyc[i - 1], cyc[(i + 1) % len(cyc)]))
+        far = dist_v[wit.w]
+        taken = ("n1 as far" if dist_v[n1] == far else "n2 as far" if dist_v[n2] == far
+                 else "n1 off the path to w" if n1 not in wit.path_w else "n2")
+        assert taken == branch
+        _assert_shortest_path(g, dist_v, wit.path_u)
+        _assert_shortest_path(g, dist_v, wit.path_w)
+
+    @pytest.mark.parametrize("cyc, message", [
+        ([0, 1], "cycle must list at least 3 distinct vertices"),
+        ([0, 1, 0], "cycle must list at least 3 distinct vertices"),
+        ([0, 2, 1, 3], "consecutive cycle vertices 0,2 are not adjacent"),
+    ], ids=["short", "repeat", "gap"])
+    def test_rejects_what_is_not_a_cycle(self, cyc, message):
+        g = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 2)])
+        with pytest.raises(PreconditionViolated, match=f"^{message}$"):
+            cycle_outsider_witness(g, cyc, 4, 1)
+
     def test_adjacent_requires_full_domination(self):
         g = from_edge_list(
             8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (6, 0), (7, 6), (7, 3)]

@@ -44,10 +44,20 @@ def test_demo_output_pinned(script):
     assert hashlib.sha256(_demo_stdout(sys.executable, script)).hexdigest() == STDOUT_SHA256[script]
 
 
+def _python310():
+    """A python3.10 that runs: the one on PATH, else one installed by pyenv
+    (whose shim fails unless 3.10 is a selected version); None if neither."""
+    root = Path(os.path.expanduser(os.environ.get("PYENV_ROOT", "~/.pyenv")))
+    for python in (shutil.which("python3.10"), *map(str, sorted(root.glob("versions/3.10*/bin/python3.10")))):
+        if python and not subprocess.run([python, "-c", "pass"], capture_output=True).returncode:
+            return python
+    return None
+
+
 def test_declared_python_floor():
     # pyproject.toml declares Python >= 3.10, so no 3.11-only stdlib may creep in
-    python = shutil.which("python3.10")
-    if python is None or subprocess.run([python, "-c", "pass"], capture_output=True).returncode:
-        pytest.skip("no runnable python3.10 on PATH")
+    python = _python310()
+    if python is None:
+        pytest.skip("no runnable python3.10")
     script = "bounds_tour.py"
     assert hashlib.sha256(_demo_stdout(python, script)).hexdigest() == STDOUT_SHA256[script]

@@ -124,6 +124,21 @@ class TestFuzz:
         skips = sum(c["skip"] for c in report.checks_run.values())
         assert skips == sum(report.skipped.values())
 
+    def test_budget_exhausted_skips(self):
+        # with no node budget every solve whose root stays open stops there:
+        # the spanning tree's embedded solve and the product's, never a check
+        report = fuzz(seed=3, trials=30, budget_nodes=0)
+        assert report.failures == []
+        assert report.skipped["budget_exhausted"] == 25
+        runs = report.checks_run
+        assert runs["spanning_tree_preserves_gamma"]["skip"] == 5
+        assert runs["projection_dominates_factors"]["skip"] == 10
+        assert runs["product_lower_bound"]["skip"] == 10 + report.skipped["disconnected_product"]
+        for counters in runs.values():
+            assert counters["pass"] + counters["fail"] + counters["skip"] == 60
+        assert fuzz(seed=3, trials=30, budget_nodes=0).to_dict() == report.to_dict()
+        assert fuzz(seed=3, trials=30).skipped["budget_exhausted"] == 0
+
 
 class TestFailureEntries:
     """A failed product check records the left factor as its graph."""

@@ -97,7 +97,8 @@ class TestFromEdgeList:
         (3, [(0, -1), (0, 1)], IndexOutOfRange, r"vertex -1 not in \[0, 3\)"),
         (3, [(0, 3)], IndexOutOfRange, r"edge \(0,3\) uses a vertex outside \[0, 3\)"),
         (2, [(1, 1)], SimplenessViolation, "self-loop at vertex 1"),  # was kept in adj[1] with m == 0
-    ], ids=["negative", "too-large", "loop"])
+        (-3, [], ValueError, "vertex count must be >= 0"),  # was built, then written as "-3 0"
+    ], ids=["negative", "too-large", "loop", "negative-n"])
     def test_constructor_rejects_bad_endpoints_and_loops(self, n, pairs, error, message):
         with pytest.raises(error, match=f"^{message}$"):
             Graph(n, pairs)

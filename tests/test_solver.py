@@ -31,7 +31,7 @@ from kdom import (
 import kdom.dual
 import kdom.solver
 from kdom.dual import SCALE, escalate, lagrangian, weigher
-from kdom.solver import ORACLE_MAX_N, _fractional_lower, _greedy_cover, _root_scan, _undominated
+from kdom.solver import ORACLE_MAX_N, _fractional_lower, _greedy_cover, _root_scan
 
 
 class TestIsKDominating:
@@ -222,7 +222,7 @@ class TestGreedyUpper:
 
     @staticmethod
     def _descent(state):
-        return state[1]  # _root_scan returns (order, descent, count, steps)
+        return state[2]  # _root_scan returns (cands, order, descent, count, steps)
 
     def test_descent_only_where_the_root_stays_open(self, monkeypatch):
         # the path's and Petersen's fractional bounds meet their greedy covers,
@@ -524,8 +524,9 @@ class TestGreedyCover:
 
 
 class TestUndominated:
-    """``_undominated`` against a reference that compares every pair of balls
-    in a component as sets, not only the balls centred in each other."""
+    """The root's candidates, the first field of ``_root_scan``'s record,
+    against a reference that compares every pair of balls in a component as
+    sets, not only the balls centred in each other."""
 
     @staticmethod
     def _reference(vertices, balls):
@@ -545,7 +546,8 @@ class TestUndominated:
             for k in (0, 1, 2, 3):
                 balls = g.balls(k)
                 for vertices in g.components():
-                    assert _undominated(vertices, balls) == self._reference(vertices, balls), (g.edges, k)
+                    cands = _root_scan(vertices, balls)[0]
+                    assert sorted(cands) == self._reference(vertices, balls), (g.edges, k)
                     equal += len({balls[v] for v in vertices}) < len(vertices)
         assert equal > 100  # components with equal balls, where the lowest index stays
 
@@ -586,12 +588,12 @@ class TestFractionalBound:
 
 class TestRootScan:
     """``_root_scan`` against a reference that works on the candidate sets
-    directly: the order, the first descent, the packing count and the root's
-    steps."""
+    directly: the candidates, the order, the first descent, the packing count
+    and the root's steps."""
 
     @staticmethod
     def _reference(vertices, balls):
-        """(order, descent, count, steps) of one component, on sets. A
+        """(cands, order, descent, count, steps) of one component, on sets. A
         vertex's candidates are the members of its ball whose ball no other
         ball contains (of equal balls the lowest index stays)."""
         cands = set(TestUndominated._reference(vertices, balls))
@@ -613,7 +615,7 @@ class TestRootScan:
         else:
             fewest = min(vertices, key=lambda w: (len(options[w]), w))
             steps = [[c] for c in sorted(options[fewest], key=lambda c: (-len(balls[c]), c))]
-        return order, descent, len(packed), steps
+        return cands, order, descent, len(packed), steps
 
     def test_matches_reference(self):
         rng = random.Random(79)
@@ -630,10 +632,10 @@ class TestRootScan:
                 balls = g.balls(k)
                 counts = 0
                 for vertices in g.components():
-                    state = _root_scan(vertices, balls, _undominated(vertices, balls))
+                    state = _root_scan(vertices, balls)
                     assert state == self._reference(vertices, balls), (g.edges, k, vertices)
-                    counts += state[2]
-                    kinds["forced" if len(state[3]) == 1 else "children"] += 1
+                    counts += state[3]
+                    kinds["forced" if len(state[4]) == 1 else "children"] += 1
                 if g.n <= ORACLE_MAX_N:
                     assert counts <= gamma_k_oracle(g, k).value  # the packing count never exceeds gamma_k
         assert min(kinds.values()) > 40, kinds
@@ -755,7 +757,7 @@ def _dual(g: Graph, k: int):
     """The escalation's Lagrangian on a connected graph in the identity
     labelling, from the greedy cover: (y, cover, lower, candidates, greedy)."""
     balls = g.balls(k)
-    cands = _undominated(tuple(range(g.n)), balls)
+    cands = sorted(_root_scan(tuple(range(g.n)), balls)[0])
     greedy = len(_greedy_cover(tuple(range(g.n)), balls))
     y, cover, lower = lagrangian([list(b) for b in balls], cands, greedy)
     return y, cover, lower, cands, greedy
@@ -887,7 +889,7 @@ class TestEscalation:
         g = build()
         balls = g.balls(1)
         members = [list(b) for b in balls]  # the identity labelling
-        cands = _undominated(tuple(range(g.n)), balls)
+        cands = sorted(_root_scan(tuple(range(g.n)), balls)[0])
         y, _, _, costs, dear = escalate(members, cands, len(_greedy_cover(tuple(range(g.n)), balls)))
         reduced = {c: SCALE - sum(y[v] for v in members[c]) for c in cands}
         width = -(-len(cands) // 256)
@@ -972,7 +974,7 @@ def test_search_order_pinned():
     rows = []
     for name, build, k, kinds in OPEN_ROOTS:
         g = build()
-        steps = [TestRootScan._reference(vertices, g.balls(k))[3] for vertices in g.components()]
+        steps = [TestRootScan._reference(vertices, g.balls(k))[4] for vertices in g.components()]
         assert ["forced" if len(s) == 1 else "children" for s in steps] == kinds, name
         for budget in (0, 1, 7, 100, kdom.solver.DEFAULT_BUDGET_NODES):
             cert = gamma_k_exact(g, k, budget_nodes=budget)
