@@ -189,19 +189,7 @@ def preserving_spanning_tree(g: Graph, k: int, **budget) -> SpanningTreeResult:
 
     # Kruskal over lexicographically sorted cross-cell edges joins the cells.
     comp = list(range(len(dominators)))
-
-    def find(i: int) -> int:
-        while comp[i] != i:
-            comp[i] = comp[comp[i]]
-            i = comp[i]
-        return i
-
-    connectors = []
-    for u, v in sorted(g.edges):
-        cu, cv = find(label[u]), find(label[v])
-        if cu != cv:
-            comp[cu] = cv
-            connectors.append((u, v))
+    connectors = [(u, v) for u, v in sorted(g.edges) if _join(comp, label[u], label[v])]
     if len(dominators) - len(connectors) > 1:  # the empty graph has no cells
         raise AssertionError("cell quotient graph is not connected")
 
@@ -213,6 +201,17 @@ def preserving_spanning_tree(g: Graph, k: int, **budget) -> SpanningTreeResult:
         connectors=tuple(connectors),
         certificate=cert,
     )
+
+
+def _join(root: list[int], u: int, v: int) -> bool:
+    """Union-find with path halving: hang the set of ``u`` under the set of
+    ``v``, or return False when they are already one set."""
+    while root[u] != u:
+        root[u] = u = root[root[u]]  # point at the grandparent and step there
+    while root[v] != v:
+        root[v] = v = root[root[v]]
+    root[u] = v
+    return u != v
 
 
 # -- shortest-cycle witness --------------------------------------------------

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 
 from .bounds import lb_diameter, lb_girth, lb_radius
-from .constructions import direct_product, preserving_spanning_tree, project
+from .constructions import _join, direct_product, preserving_spanning_tree, project
 from .errors import BudgetExceeded
 from .graph import Graph
 from .io import serialize_edge_list
@@ -98,26 +98,6 @@ def _non_bridges(g: Graph) -> list[tuple[int, int]]:
     return [(u, v) for u, nbrs in enumerate(g.adj) for v in nbrs if u < v and (u, v) not in bridges]
 
 
-def _connects(n: int, pairs: list[tuple[int, int]]) -> bool:
-    """Whether ``pairs`` join all n vertices into one component (true for
-    n <= 1): a union-find that counts the merges."""
-    root = list(range(n))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    merges = 0
-    for u, v in pairs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            root[ru] = rv
-            merges += 1
-    return merges >= n - 1
-
-
 def random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:
     """Connected G(n,p) by rejection over 1000 draws, then a random spanning
     tree plus p-density extra edges so low p still makes progress. A draw is
@@ -126,7 +106,8 @@ def random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:
     all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for _ in range(1000):
         pairs = [e for e in all_pairs if rng.random() < p]
-        if _connects(n, pairs):
+        root = list(range(n))
+        if sum(_join(root, u, v) for u, v in pairs) >= n - 1:
             return Graph(n, pairs)
     edges = {(rng.randrange(v), v) for v in range(1, n)}
     for e in all_pairs:

@@ -7,7 +7,8 @@ k-ball table costs O(sum of ball sizes), and only the exact solver builds
 bitsets, for a component whose root stays open. A 1-ball is read off
 ``adj``, and a larger ball is the union of the cached (k-1)-balls of its
 closed neighbourhood when that table exists, a BFS to depth k otherwise;
-centres with equal (k-1)-balls then share one k-ball tuple.
+a centre whose (k-1)-ball equals the previous centre's then shares its
+k-ball tuple.
 Distances are plain hop counts; inside a BFS distance row "unreachable" is
 the sentinel value n (strictly larger than any realizable distance), while
 reporting-level quantities (diameter, radius, girth, eccentricity) use
@@ -152,10 +153,11 @@ class Graph:
         """The closed k-neighborhood of every vertex, as ascending vertex
         tuples, computed once per k and cached; the same tuple is returned on
         every call. Memory is O(sum of ball sizes). A table grows from the
-        cached (k-1)-table, where centres with equal (k-1)-balls share one
-        k-ball tuple (true twins at k = 2, whole cells of a clique-expanded
-        path); otherwise each ball comes from :meth:`closed_k_neighborhood`,
-        and no lower table is built only to grow from."""
+        cached (k-1)-table, where a centre whose (k-1)-ball equals the
+        previous centre's shares that k-ball tuple (consecutive true twins at
+        k = 2, whole cells of a clique-expanded path); otherwise each ball
+        comes from :meth:`closed_k_neighborhood`, and no lower table is built
+        only to grow from."""
         if k < 0:
             raise ValueError("k must be >= 0")
         table = self._balls.get(k)
@@ -259,21 +261,16 @@ def _grown_balls(
 ) -> Iterator[tuple[int, ...]]:
     """Yield each vertex's k-ball, the union of the (k-1)-balls ``prev`` of
     its closed neighbourhood. That is also the closed neighbourhood of its own
-    (k-1)-ball, so equal (k-1)-balls grow into one shared tuple. Only a ball's
-    own vertices can hold it, so its memo entry goes once the scan passes the
-    ball's highest vertex: on path-like labellings the memo stays short."""
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-    order: deque[tuple[int, ...]] = deque()  # the keys of ``shared``, oldest first
+    (k-1)-ball, so a centre whose (k-1)-ball equals the previous centre's
+    reuses that centre's k-ball tuple."""
+    last = grown = ()  # no closed ball is empty
     for v, ball in enumerate(prev):
-        grown = shared.get(ball)
-        if grown is None:
-            while order and order[0][-1] < v:
-                del shared[order.popleft()]
+        if ball != last:
             seen = set(ball)
             for u in adj[v]:
                 seen.update(prev[u])
-            grown = shared[ball] = tuple(sorted(seen))
-            order.append(ball)
+            grown = tuple(sorted(seen))
+            last = ball
         yield grown
 
 

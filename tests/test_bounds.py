@@ -64,6 +64,15 @@ class TestLowerBoundFormulas:
         with pytest.raises(InfiniteRadius):
             lb_radius(INF, 1)
 
+    @pytest.mark.parametrize(
+        "bound, value, message",
+        [(lb_diameter, -1, "diameter must be >= 0"), (lb_radius, -1, "radius must be >= 0"),
+         (lb_girth, 2, "girth must be >= 3 or infinite")],
+    )
+    def test_impossible_metric_rejected(self, bound, value, message):
+        with pytest.raises(ValueError, match=message):
+            bound(value, 1)
+
 
 class TestUpperBoundFormulas:
     def test_meir_moon(self):

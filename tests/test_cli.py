@@ -2,9 +2,11 @@ import argparse
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -415,25 +417,26 @@ class TestInternalError:
         assert err == "kdom: internal error: KeyError: 'boom'\n"
 
 
+def _run_module(*args, **kwargs):
+    """``python -m kdom *args`` in a child process that imports this checkout's ``src``."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "kdom", *args], capture_output=True, text=True, env=env, **kwargs
+    )
+
+
 class TestProcessEntryPoint:
     def test_module_invocation(self, tmp_path):
         p = tmp_path / "c6.txt"
         p.write_text(serialize_edge_list(cycle(6)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "kdom", "gamma", "--k", "1", "--in", str(p)],
-            capture_output=True,
-            text=True,
-        )
+        proc = _run_module("gamma", "--k", "1", "--in", str(p))
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["gamma_k"] == 2
 
     def test_stdin_default(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "kdom", "metrics"],
-            input=serialize_edge_list(path(7)),
-            capture_output=True,
-            text=True,
-        )
+        proc = _run_module("metrics", input=serialize_edge_list(path(7)))
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["diameter"] == 6
 
@@ -441,10 +444,6 @@ class TestProcessEntryPoint:
         p = tmp_path / "c6.txt"
         p.write_text(serialize_edge_list(cycle(6)))
         out = tmp_path / "result.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "kdom", "gamma", "--in", str(p), "--out", str(out)],
-            capture_output=True,
-            text=True,
-        )
+        proc = _run_module("gamma", "--in", str(p), "--out", str(out))
         assert proc.returncode == 0 and proc.stdout == ""
         assert json.loads(out.read_text())["gamma_k"] == 2

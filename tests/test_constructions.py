@@ -210,6 +210,10 @@ class TestProjection:
         with pytest.raises(IndexOutOfRange):
             project([-1], "left", 3)
 
+    def test_unknown_side_rejected(self):
+        with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+            project([0], "middle", 3)
+
     @pytest.mark.parametrize("vertices, h_order", [([1], 0), ([1, 5], -3)])
     def test_order_below_one_rejected(self, vertices, h_order):
         with pytest.raises(InvalidOrder, match="h_order must be >= 1"):

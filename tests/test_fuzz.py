@@ -110,6 +110,9 @@ class TestFuzz:
         assert a.to_dict() != b.to_dict()
 
     def test_parameter_validation(self):
+        for n_range in ((0, 5), (6, 5)):
+            with pytest.raises(ValueError, match="bad n_range"):
+                fuzz(seed=0, trials=1, n_range=n_range)
         with pytest.raises(ValueError):
             fuzz(seed=1, trials=1, n_range=(4, 99))
         with pytest.raises(ValueError):

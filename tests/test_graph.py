@@ -154,6 +154,7 @@ class TestFromEdgeList:
         assert a != from_edge_list(4, [(0, 1), (1, 2)])
         repeated = Graph(3, [(0, 1), (1, 0), (0, 1)])
         assert repeated.m == 1 and repeated == Graph(3, [(0, 1)])
+        assert path(3) != 3 and Graph.__eq__(path(3), 3) is NotImplemented
 
 
 class TestBfsDistances:
@@ -232,6 +233,8 @@ class TestClosedKNeighborhood:
             with pytest.raises(ValueError):
                 g.balls(-1)
             assert not g._balls
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            path(5).closed_k_neighborhood(0, -1)
 
     def test_ball_table_memory_without_lower_tables(self):
         # the table itself is 10.9 MB; caching the 29 tables below it would
@@ -293,11 +296,15 @@ class TestGrownBallTables:
 
     @pytest.mark.parametrize("g", ball_graphs(), ids=repr)
     def test_equal_lower_balls_share_one_tuple(self, g):
+        # sharing reaches back one centre in label order, and never joins unequal lower balls
         for k in range(2, 5):
             lower, table = g.balls(k - 1), g.balls(k)
+            for v in range(1, g.n):
+                assert (table[v] is table[v - 1]) == (lower[v] == lower[v - 1])
             for v in range(g.n):
                 for w in range(g.n):
-                    assert (table[v] is table[w]) == (lower[v] == lower[w])
+                    if lower[v] != lower[w]:
+                        assert table[v] is not table[w]
 
     def test_clique_cells_share_their_balls(self):
         g = clique_expanded_path(6, 3)  # ends 0 and 13, cells {1,2,3} ... {10,11,12}
