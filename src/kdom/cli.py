@@ -231,7 +231,10 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process and shared by every `main`
+    call; no handler mutates the shared ``--k`` defaults."""
     parser = argparse.ArgumentParser(
         prog="kdom",
         description="Distance-k domination: exact solving, bounds, constructions, fuzzing.",
@@ -246,14 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """:func:`build_parser`, once per process; no handler mutates the shared ``--k`` defaults."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
         with warnings.catch_warnings():  # each library warning becomes one "kdom: ..." line

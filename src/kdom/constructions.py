@@ -163,14 +163,13 @@ def preserving_spanning_tree(g: Graph, k: int, **budget) -> SpanningTreeResult:
     if cert.status != "Exact":
         raise BudgetExceeded("embedded exact solve did not finish within budget")
     dominators = cert.vertices
-    cell_of = {v: i for i, v in enumerate(dominators)}
     n = g.n
 
     dist_to_s = g.bfs_distances(*dominators)
     label = [-1] * n
     parent = [-1] * n
-    for v, s in cell_of.items():
-        label[v] = s
+    for i, v in enumerate(dominators):
+        label[v] = i
     for v in sorted(range(n), key=lambda v: (dist_to_s[v], v)):
         if dist_to_s[v] == 0:
             continue
@@ -304,7 +303,7 @@ def _check_is_cycle(g: Graph, cyc: list[int]) -> None:
     for c in cyc:
         g._check_vertex(c)
     for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-        if not g.has_edge(a, b):
+        if b not in g.adj[a]:
             raise PreconditionViolated(f"consecutive cycle vertices {a},{b} are not adjacent")
 
 

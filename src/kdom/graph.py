@@ -392,8 +392,6 @@ def _scan_shortest_cycle(g: Graph) -> tuple[int, int] | None:
     def peel(stack: list[int]) -> None:
         while stack:
             v = stack.pop()
-            if not alive[v]:
-                continue
             alive[v] = False
             for w in adj[v]:
                 if alive[w]:

@@ -56,8 +56,6 @@ def from_edge_list(n: int, pairs: Iterable[tuple[int, int]], strict: bool = Fals
     :class:`SimplenessViolation`; otherwise they are dropped and a single
     warning reports how many were discarded.
     """
-    if n < 0:
-        raise ValueError("vertex count must be >= 0")
     if n > MAX_VERTICES:
         raise TooLarge(f"graph of {n} vertices is above the cap of {MAX_VERTICES}")
     return _from_pairs(n, list(pairs), strict)

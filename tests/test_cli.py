@@ -90,7 +90,7 @@ class TestParserReuse:
 
     def test_usage_error_leaves_no_trace(self, capsys):
         good = ["construct", "--family", "cycle", "--n", "4"]
-        kdom.cli._parser.cache_clear()
+        kdom.cli.build_parser.cache_clear()
         alone = run_cli(capsys, *good)  # on a freshly built parser
         with pytest.raises(SystemExit) as exc:
             main([*good, "--k", "2"])
@@ -304,6 +304,27 @@ class TestWitnessCommand:
         assert code == 0
         r = doc["results"][0]
         assert r["u"] not in r["path_w"] and r["w"] not in r["path_u"]
+
+    @pytest.mark.parametrize("text, vertex, code, expected", [
+        # K4: vertex 3 dominates the whole triangle [0, 1, 2]
+        ("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n", 3, 0, {"cycle": [0, 1, 2], "u": 1, "w": 0}),
+        # C4 plus the path 0-4-5: vertex 4 reaches one cycle vertex at k = 1
+        ("6 6\n0 1\n1 2\n2 3\n0 3\n0 4\n4 5\n", 4, 2,
+         "kdom: v k-dominates only 1 cycle vertices, need >= 2\n"),
+    ], ids=["k4", "c4-tail"])
+    def test_adjacent_pair(self, capsys, tmp_path, text, vertex, code, expected):
+        p = tmp_path / "g.txt"
+        p.write_text(text)
+        assert main(["witness", "--k", "1", "--vertex", str(vertex), "--adjacent", "--in", str(p)]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert (out, err) == ("", expected)
+            return
+        doc = json.loads(out)
+        cyc = doc["cycle"]
+        (r,) = doc["results"]
+        assert {"cycle": cyc, "u": r["u"], "w": r["w"]} == expected
+        assert abs(cyc.index(r["u"]) - cyc.index(r["w"])) in (1, len(cyc) - 1)
 
     def test_acyclic_exit_2(self, capsys, tmp_path):
         p = tmp_path / "p3.txt"

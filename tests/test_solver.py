@@ -27,6 +27,7 @@ from kdom import (
     is_k_dominating,
     packing_lower,
     path,
+    preserving_spanning_tree,
 )
 import kdom.dual
 import kdom.solver
@@ -735,6 +736,40 @@ def _highs_gamma(g: Graph, k: int) -> int:
     return round(res.fun)
 
 
+def _tree_gamma(g: Graph, k: int) -> int:
+    """gamma_k of a tree by the post-order greedy of Slater, "R-domination in
+    graphs" (J. ACM 1976): an independent exact route at any size.
+
+    Rooted at 0, each vertex keeps the distance to the farthest undominated
+    vertex below it (-1 if none) and to the nearest chosen one. It is taken
+    when the first distance reaches k, or at a root still undominated.
+    """
+    no_chosen = 10**9  # far above any n, so no sum with it ever reaches k
+    far = [0] * g.n
+    near = [no_chosen] * g.n
+    parent = [-1] * g.n
+    order = [0]
+    for v in order:  # BFS from the root; the list grows as it is read
+        for w in g.adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    assert len(order) == g.n == g.m + 1, "not a tree"
+    count = 0
+    for v in reversed(order):
+        if far[v] + near[v] <= k:
+            far[v] = -1
+        elif far[v] == k:
+            far[v], near[v] = -1, 0
+            count += 1
+        p = parent[v]
+        if p >= 0:
+            near[p] = min(near[p], near[v] + 1)
+            if far[v] >= 0:
+                far[p] = max(far[p], far[v] + 1)
+    return count + (far[0] >= 0)
+
+
 class TestAgainstHighs:
     """Independent exact route beyond the n <= 16 oracle: an integer program."""
 
@@ -751,6 +786,44 @@ class TestAgainstHighs:
                     assert cert.value == optimum, (n, k)
                 else:
                     assert cert.value >= optimum, (n, k)
+
+
+class TestTreeReference:
+    """Slater's tree algorithm against the oracle, the solver and the
+    paper's spanning-tree theorem, at sizes far beyond the oracle's."""
+
+    def test_matches_oracle_on_small_trees(self):
+        rng = random.Random(28)
+        for _ in range(1000):
+            g = random_tree(rng, rng.randint(1, 14))
+            k = rng.randint(1, 4)
+            assert _tree_gamma(g, k) == gamma_k_oracle(g, k).value, (g, k)
+
+    @pytest.mark.parametrize("build, ks", [
+        (lambda: random_tree(random.Random(3), 1000), (1, 2, 3)),
+        (lambda: broom(50), (1, 2, 3)),
+        (lambda: broom(200), (1,)),  # k = 2, 3 take 0.8 and 1.3 s at the root
+        (lambda: random_tree(random.Random(3), 10_000), (2,)),
+    ], ids=["tree-1000", "broom-50", "broom-200", "tree-10000"])
+    def test_matches_exact_on_large_trees(self, build, ks):
+        g = build()
+        for k in ks:
+            cert = gamma_k_exact(g, k)
+            assert cert.status == "Exact" and cert.value == _tree_gamma(g, k), k
+
+    @pytest.mark.parametrize("build", [
+        lambda: path(5000),
+        lambda: cycle(5001),
+        lambda: clique_expanded_path(1000, 3),
+        lambda: random_connected(random.Random(5), 120, 2.5 / 120),
+    ], ids=["path-5000", "cycle-5001", "clique-expanded-1000-3", "sparse-120"])
+    def test_spanning_tree_keeps_gamma_at_scale(self, build):
+        g = build()
+        for k in (1, 2, 3):
+            res = preserving_spanning_tree(g, k)
+            tree = res.tree
+            assert tree.m == g.n - 1 and tree.is_connected() and tree.edges <= g.edges
+            assert _tree_gamma(tree, k) == res.certificate.value, k
 
 
 def _dual(g: Graph, k: int):
@@ -912,6 +985,7 @@ class TestEscalation:
         g = random_tree(random.Random(3), 3000)
         cert = gamma_k_exact(g, 1, budget_nodes=20_000)
         assert cert.status == "Exact" and cert.value == 1121  # the HiGHS optimum
+        assert cert.value == _tree_gamma(g, 1)
         assert cert.nodes_explored <= 2175
 
     def test_escalated_searches_against_highs(self, monkeypatch):
