@@ -24,19 +24,11 @@ from .errors import (
     PreconditionViolated,
     TooLarge,
 )
-from .graph import Graph
-from .io import MAX_EDGES, MAX_VERTICES
+from .graph import Graph, _scan_shortest_cycle
+from .io import _check_size
 from .solver import Certificate, _check_k, gamma_k_exact
 
 # -- generators -------------------------------------------------------------
-
-
-def _check_size(what: str, order: int, size: int, error: type[Exception]) -> None:
-    """Raise ``error`` before building a graph above ``MAX_VERTICES`` or ``MAX_EDGES``."""
-    if order > MAX_VERTICES:
-        raise error(f"{what} of {order} vertices is above the cap of {MAX_VERTICES}")
-    if size > MAX_EDGES:
-        raise error(f"{what} of {size} edges is above the cap of {MAX_EDGES}")
 
 
 def path(n: int) -> Graph:
@@ -254,7 +246,7 @@ def cycle_outsider_witness(
     g._check_vertex(v)
     cyc = list(cycle_vertices)
     _check_is_cycle(g, cyc)
-    girth = len(g.shortest_cycle())  # g has a cycle: _check_is_cycle passed
+    girth = _scan_shortest_cycle(g)[0]  # g has a cycle: _check_is_cycle passed
     if len(cyc) != girth:
         raise PreconditionViolated(
             f"given cycle has length {len(cyc)} but the girth is {girth}"

@@ -25,7 +25,7 @@ from kdom import (
     preserving_spanning_tree,
     project,
 )
-import kdom.constructions
+import kdom.io
 from kdom.io import MAX_EDGES, MAX_VERTICES
 
 
@@ -119,9 +119,9 @@ class TestCliqueExpandedPath:
         # the count checked is the count built
         for n_base, delta in ((3, 1), (3, 4), (6, 2), (7, 5)):
             m = clique_expanded_path(n_base, delta).m
-            monkeypatch.setattr(kdom.constructions, "MAX_EDGES", m)
+            monkeypatch.setattr(kdom.io, "MAX_EDGES", m)
             clique_expanded_path(n_base, delta)
-            monkeypatch.setattr(kdom.constructions, "MAX_EDGES", m - 1)
+            monkeypatch.setattr(kdom.io, "MAX_EDGES", m - 1)
             with pytest.raises(InvalidOrder, match="edges is above the cap"):
                 clique_expanded_path(n_base, delta)
             monkeypatch.undo()
@@ -166,9 +166,9 @@ class TestDirectProduct:
         with pytest.raises(TooLarge, match="edges is above the cap"):
             direct_product(k50, k50)
         a, b = petersen(), cycle(5)
-        monkeypatch.setattr(kdom.constructions, "MAX_EDGES", 2 * a.m * b.m)
+        monkeypatch.setattr(kdom.io, "MAX_EDGES", 2 * a.m * b.m)
         assert direct_product(a, b).m == 2 * a.m * b.m
-        monkeypatch.setattr(kdom.constructions, "MAX_EDGES", 2 * a.m * b.m - 1)
+        monkeypatch.setattr(kdom.io, "MAX_EDGES", 2 * a.m * b.m - 1)
         with pytest.raises(TooLarge, match="edges is above the cap"):
             direct_product(a, b)
 

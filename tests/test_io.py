@@ -94,14 +94,30 @@ class TestParse:
         assert [w.filename for w in record] == [__file__]
 
 
+    def test_memory_at_scale(self):
+        # while the graph is built the reader holds only the lines and the
+        # pairs: one more copy of the text, or a list of every field, lifts
+        # the peak above 3x the graph
+        text = serialize_edge_list(path(100_000))
+        tracemalloc.start()
+        try:
+            g = parse_edge_list(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.m == 99_999
+        assert peak <= 2.6 * kept
+
+
 class TestFromEdgeList:
     def test_vertex_cap_before_allocation(self):
         # refused before the n adjacency lists exist: at the cap they take
         # about 64 MB under tracemalloc
         tracemalloc.start()
         try:
-            with pytest.raises(TooLarge, match="above the cap"):
-                from_edge_list(kdom.io.MAX_VERTICES + 1, [])
+            cap = kdom.io.MAX_VERTICES
+            with pytest.raises(TooLarge, match=f"^graph of {cap + 1} vertices is above the cap of {cap}$"):
+                from_edge_list(cap + 1, [])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -230,9 +246,10 @@ class TestRoundTrip:
 
 
 def reference_parse(text: str, strict: bool = True) -> Graph:
-    """The line-by-line reader, kept as a reference for the bulk one: every
-    line is checked as it is read, then the pairs go through
-    ``reference_from_edge_list``'s ordered loop and repeat checks."""
+    """A test-side copy of the line-by-line reader that the library's one
+    reader and its pair stage are checked against: every line is checked as
+    it is read, then the pairs go through ``reference_from_edge_list``'s
+    ordered loop and repeat checks."""
     n = m = None
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
