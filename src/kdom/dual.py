@@ -27,23 +27,24 @@ _WORK = 100_000  # cap on the ball entries read, over all iterations
 def escalate(members, cands, best):
     """The dual data of a search escalating with incumbent size ``best``:
     ``lagrangian`` over the candidate positions ``cands`` of the balls
-    ``members``, then their reduced costs. Returns (y, cover, lower, costs,
-    dear): ``costs`` ascending, and ``dear[i]`` the union of the candidates
-    from the i-th on, so ``dear[bisect_right(costs, slack)]`` holds
-    candidates whose reduced costs exceed ``slack``: all of them up to 256
-    candidates."""
+    ``members``, then their reduced costs. Returns (weigh, cover, lower,
+    costs, keep): ``weigh`` is ``weigher`` of the dual weights, ``costs``
+    the least reduced cost of each ban group, ascending, and ``keep[j]`` the
+    union of the first j groups. A mask of candidates ANDed with
+    ``keep[bisect_right(costs, slack)]`` thus loses only candidates whose
+    reduced costs exceed ``slack``: all of them up to 256 candidates."""
     y, cover, lower = lagrangian(members, cands, best)
     ranked = sorted((SCALE - sum(map(y.__getitem__, members[c])), c) for c in cands)
     # Past 256 candidates they are banned in at most 256 groups of equal size,
     # each once its least reduced cost exceeds the slack, so the masks take
     # O(m) words, not O(m²).
     width = -(-len(ranked) // 256)
-    costs, dear, union = [], [0], 0
-    for i in reversed(range(0, len(ranked), width)):
+    costs, keep, union = [], [0], 0
+    for i in range(0, len(ranked), width):
         union |= sum(1 << c for _, c in ranked[i:i + width])
         costs.append(ranked[i][0])
-        dear.append(union)
-    return y, cover, lower, costs[::-1], dear[::-1]
+        keep.append(union)
+    return weigher(y), cover, lower, costs, keep
 
 
 def weigher(y):

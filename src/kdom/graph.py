@@ -375,14 +375,14 @@ def _scan_shortest_cycle(g: Graph) -> tuple[int, int] | None:
 
     Only the 2-core can hold a cycle, so vertices of degree <= 1 are peeled
     off first. Roots are taken in index order, and each root is deleted (and
-    the core peeled again) once its BFS is done. A BFS records every non-tree
-    edge (u, w); the closed walk root..u, w..root holds a cycle, so the
-    candidate length dist[u] + dist[w] + 1 never undercuts the girth. It
-    stops once 2 * depth + 1 reaches the best length so far, because no
-    deeper edge can close a shorter cycle. When r*'s turn comes every
-    shortest cycle through r* is still intact, since all of its vertices are
-    >= r*, so its BFS finds the girth and no lower root did; a triangle ends
-    the scan.
+    the core peeled again) once its BFS is done. A BFS records each non-tree
+    edge (u, w) from its lower end (from both on one level); the closed walk
+    root..u, w..root holds a cycle, so dist[u] + dist[w] + 1 never undercuts
+    the girth. It stops once 2 * depth + 1 reaches the best length so far,
+    because no deeper edge can close a shorter cycle. When r*'s turn comes
+    every shortest cycle through r* is still intact, since all of its
+    vertices are >= r*, so its BFS finds the girth and no lower root did; a
+    triangle ends the scan.
     """
     n = g.n
     adj = g.adj
@@ -408,7 +408,6 @@ def _scan_shortest_cycle(g: Graph) -> tuple[int, int] | None:
         if not alive[root]:
             continue
         dist = {root: 0}
-        parent = {root: -1}
         queue = deque([root])
         while queue:
             u = queue.popleft()
@@ -421,9 +420,8 @@ def _scan_shortest_cycle(g: Graph) -> tuple[int, int] | None:
                 dw = dist.get(w)
                 if dw is None:
                     dist[w] = du + 1
-                    parent[w] = u
                     queue.append(w)
-                elif w != parent[u] and du + dw + 1 < best:
+                elif dw >= du and du + dw + 1 < best:  # a lower w is the parent or met this edge first
                     best = du + dw + 1
                     best_root = root
         peel([root])  # delete root, then whatever it leaves at degree 1

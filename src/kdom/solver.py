@@ -148,11 +148,17 @@ def gamma_k_oracle(g: Graph, k: int) -> Certificate:
     raise AssertionError("V(G) itself must dominate")  # pragma: no cover
 
 
-def _greedy_cover(vertices: tuple[int, ...], balls: tuple[tuple[int, ...], ...]) -> list[int]:
+def _greedy_cover(vertices: tuple[int, ...], balls: tuple[tuple[int, ...], ...]) -> tuple[list[int], int]:
     """Greedy set cover of one component (``vertices`` ascending) on the
     k-ball tuples: take the ball with the most vertices not yet covered, ties
-    to the lowest centre, until all are covered; returns the centres in the
-    order taken (Chvátal 1979).
+    to the lowest centre, until all are covered (Chvátal 1979). Returns
+    (cover, bound): the centres in the order taken, and the closed-form
+    fractional bound ⌈Σ_v y_v⌉ on the domination number, y_v one over the
+    size of the largest k-ball holding v. Every ball weighs at most 1 under
+    y, so each dominator covers at most 1 of the total. By symmetry the balls
+    holding v are centred in ``balls[v]``, so the bound is read off the gains
+    before the cover lowers them, in exact integer arithmetic over the lcm of
+    the distinct maxima.
 
     Each centre's gain, its count of uncovered ball vertices, is kept exact:
     covering u lowers by one the gain of every centre in ``balls[u]``, which
@@ -171,6 +177,9 @@ def _greedy_cover(vertices: tuple[int, ...], balls: tuple[tuple[int, ...], ...])
         pos = {v: p for p, v in enumerate(vertices)}
         members = [[pos[u] for u in balls[v]] for v in vertices]
     gains = list(map(len, members))
+    tops = [max(map(gains.__getitem__, ball)) for ball in members]
+    den = math.lcm(*set(tops))
+    bound = -(-sum(map(den.__floordiv__, tops)) // den)
     ascending = sorted(gains)
     pivot = ascending[m // 2]  # at least half the balls hold this many vertices
     by_size: dict[int, list[int]] = {}  # the larger balls' centres, by size
@@ -202,7 +211,7 @@ def _greedy_cover(vertices: tuple[int, ...], balls: tuple[tuple[int, ...], ...])
                         for w in members[u]:
                             gains[w] -= 1
                 if not left:
-                    return chosen
+                    return chosen, bound
             i = scan.index(level, i + 1)
     raise AssertionError("every vertex lies in its own ball")  # pragma: no cover
 
@@ -296,7 +305,6 @@ def gamma_k_exact(
     if math.isnan(budget_seconds):
         raise ValueError("budget_seconds must be a number or inf, got nan")
     balls = g.balls(k)
-    sizes = list(map(len, balls))
     deadline = time.monotonic() + budget_seconds
     comps = g.components()
     chosen: list[int] = []
@@ -304,7 +312,7 @@ def gamma_k_exact(
     stopped = False
     for vertices in comps:
         nodes_left = 0 if stopped else budget_nodes - nodes
-        picked, used, root_lb, start, halted = _solve_component(vertices, balls, sizes, nodes_left, deadline)
+        picked, used, root_lb, start, halted = _solve_component(vertices, balls, nodes_left, deadline)
         chosen += picked
         nodes += used
         lower += root_lb
@@ -312,18 +320,6 @@ def gamma_k_exact(
         stopped |= halted
     status = "UpperBoundOnly" if stopped else "Exact"
     return Certificate(k, tuple(sorted(chosen)), status, lower, upper, nodes, "BranchAndBound", len(comps))
-
-
-def _fractional_lower(vertices, balls, sizes):
-    """⌈Σ_v y_v⌉ for y_v = 1 / (the size of the largest k-ball holding v), a
-    lower bound on the component's domination number: every ball weighs at
-    most 1 under y, so each dominator covers at most 1 of the total. Exact
-    integer arithmetic over the lcm of the distinct sizes; ``sizes[v]`` is
-    ``len(balls[v])``, and by symmetry the balls holding v are centred in
-    ``balls[v]``."""
-    tops = [max(map(sizes.__getitem__, balls[v])) for v in vertices]
-    den = math.lcm(*set(tops))
-    return -(-sum(map(den.__floordiv__, tops)) // den)
 
 
 def _root_scan(vertices, balls):
@@ -378,35 +374,34 @@ def _root_scan(vertices, balls):
     return cands, order, descent, count, [[c] for c in sorted(options[order[0]], key=lambda c: (-len(balls[c]), c))]
 
 
-def _solve_component(vertices, balls, sizes, nodes_left, deadline):
+def _solve_component(vertices, balls, nodes_left, deadline):
     """Search one component with at most ``nodes_left`` nodes below the root;
     returns (chosen vertices, nodes, root bound, starting cover size, whether
-    it stopped early). ``sizes[v]`` is ``len(balls[v])``. The root reads
-    only the ball tuples (see :func:`gamma_k_exact`); only a component whose
-    root stays open is relabelled 0..m-1 in ``order``, so walking the bits
-    of the uncovered mask follows the packing order, and gets local bitsets,
-    built from the ball tuples for this search alone (about m²/16 bytes per
-    table on path-like labellings: the ``1 << p`` map and ``ball`` while
-    building, then ``ball`` alone). The stack starts from the root's steps,
-    so each node the loop pops lies below the root.
+    it stopped early). The root reads only the ball tuples (see
+    :func:`gamma_k_exact`); only a component whose root stays open is
+    relabelled 0..m-1 in ``order``, so walking the bits of the uncovered mask
+    follows the packing order, and gets local bitsets, built from the ball
+    tuples for this search alone (about m²/16 bytes per table on path-like
+    labellings: the ``1 << p`` map and ``ball`` while building, then ``ball``
+    alone). The stack starts from the root's steps, so each node the loop
+    pops lies below the root.
 
     Each stack entry is (uncovered, allowed, chosen, size), ``size`` the bit
     count of ``chosen``. At the escalation (:func:`gamma_k_exact` says when),
     ``dual.escalate`` runs a subgradient on the Lagrangian of the component's
-    k-ball cover for integer dual weights ``y`` under which no root
-    candidate's ball weighs more than ``SCALE``, so they bound every node
-    (each allows only root candidates); its Lagrangian covers may replace the
-    incumbent. From then on a popped node is cut when ``weigh(uncovered)`` is
-    above ``(room - 1) * SCALE`` (``room`` = incumbent size - node size), and
-    a candidate is dropped at it (one ``&`` with a complemented ban mask) when
-    that weight plus its reduced cost is.
+    k-ball cover for integer dual weights, summed over a mask by ``weigh``,
+    under which no root candidate's ball weighs more than ``SCALE``, so they
+    bound every node (each allows only root candidates); its Lagrangian
+    covers may replace the incumbent. From then on a popped node is cut when
+    ``weigh(uncovered)`` is above ``(room - 1) * SCALE`` (``room`` =
+    incumbent size - node size), and a candidate is dropped at it (one ``&``
+    with a keep mask) when that weight plus its reduced cost is.
     ``prune()`` weighs the open entries and drops those the weights cut, at
     the escalation and at each new incumbent, and clears the stack once the
     Lagrangian bound meets the incumbent. Past the escalation the scan stops
     at the first vertex with two candidates left and branches there, since
     the weights now do the cutting that the rest of the packing scan did."""
-    start = _greedy_cover(vertices, balls)
-    root_lb = _fractional_lower(vertices, balls, sizes)
+    start, root_lb = _greedy_cover(vertices, balls)
     if root_lb < len(start):
         cands, order, descent, count, steps = _root_scan(vertices, balls)
         start = min(start, descent, key=len)  # on a tie the greedy set stays
@@ -427,7 +422,7 @@ def _solve_component(vertices, balls, sizes, nodes_left, deadline):
         allowed ^= chosen
     del bit
     nodes, stopped = 0, False
-    y = None  # the dual weights, once the search has escalated
+    weigh = None  # the dual weigher, once the search has escalated
 
     def prune():
         """Drop the stack entries whose weight shows they cannot beat ``best``;
@@ -444,12 +439,11 @@ def _solve_component(vertices, balls, sizes, nodes_left, deadline):
             if nodes >= nodes_left or time.monotonic() > deadline:
                 stopped = True
                 break
-            if y is None and (nodes + 1) * len(ball) >= _ESCALATION_DELAY * sum(map(int.bit_count, ball)):
-                y, cover, lower, costs, dear = dual.escalate(
+            if weigh is None and (nodes + 1) * len(ball) >= _ESCALATION_DELAY * sum(map(int.bit_count, ball)):
+                weigh, cover, lower, costs, keep = dual.escalate(
                     [list(_iter_bits(b)) for b in ball], list(_iter_bits(allowed_at_root)), best)
                 if cover is not None:
                     best, best_set = len(cover), sum(1 << p for p in cover)
-                weigh, bans = dual.weigher(y), [~d for d in dear]
                 stack.append((uncovered, allowed, chosen, size))  # this node, to be weighed too
                 prune()
                 continue
@@ -457,18 +451,18 @@ def _solve_component(vertices, balls, sizes, nodes_left, deadline):
         if not uncovered:
             if size < best:
                 best, best_set = size, chosen
-                if y is not None:
+                if weigh is not None:
                     prune()
             continue
         room = best - size
         if room <= 1:
             continue
-        if y is not None:
+        if weigh is not None:
             slack = (room - 1) * SCALE - weigh(uncovered)
             if slack < 0:
                 continue
             # a cover through candidate j needs the uncovered weight + its reduced cost <= (room - 1) * SCALE
-            allowed &= bans[bisect_right(costs, slack)]
+            allowed &= keep[bisect_right(costs, slack)]
         count = packed = branch = forced = 0
         fewest = len(order) + 1
         rest = uncovered
@@ -488,7 +482,7 @@ def _solve_component(vertices, balls, sizes, nodes_left, deadline):
                 forced |= a
             elif c < fewest:
                 fewest, branch = c, a
-                if c == 2 and y is not None:
+                if c == 2 and weigh is not None:
                     rest = 0  # escalated: branch on the first pair, the dual weights cut
         else:
             if forced:

@@ -37,8 +37,12 @@ def _env():
     return env
 
 
+# a deprecation in kdom under any interpreter fails the child, not just warns
+STRICT = ["-W", "error::DeprecationWarning", "-W", "error::SyntaxWarning"]
+
+
 def _demo_stdout(python, script):
-    proc = subprocess.run([python, str(ROOT / "demos" / script)], capture_output=True, env=_env(), check=True)
+    proc = subprocess.run([python, *STRICT, str(ROOT / "demos" / script)], capture_output=True, env=_env(), check=True)
     return proc.stdout
 
 
@@ -69,7 +73,7 @@ def _cli_outputs(python, graphs):
              for p in graphs]
     outputs = []
     for argv in runs:
-        proc = subprocess.run([python, "-m", "kdom", *argv], capture_output=True, env=_env())
+        proc = subprocess.run([python, *STRICT, "-m", "kdom", *argv], capture_output=True, env=_env())
         doc = json.loads(proc.stdout)
         del doc["timing"]
         outputs.append((proc.returncode, doc))

@@ -32,7 +32,7 @@ from kdom import (
 import kdom.dual
 import kdom.solver
 from kdom.dual import SCALE, escalate, lagrangian, weigher
-from kdom.solver import ORACLE_MAX_N, _fractional_lower, _greedy_cover, _root_scan
+from kdom.solver import ORACLE_MAX_N, _greedy_cover, _root_scan
 
 
 class TestIsKDominating:
@@ -193,7 +193,7 @@ class TestGreedyUpper:
     def test_smaller_cover_when_descent_beats_greedy(self):
         # the greedy cover takes 9 vertices here, the first descent 8 = gamma_2
         g = clique_expanded_path(40, 3)
-        assert len(_greedy_cover(tuple(range(g.n)), g.balls(2))) == 9
+        assert len(_greedy_cover(tuple(range(g.n)), g.balls(2))[0]) == 9
         cert = gamma_k_exact(g, 2, budget_nodes=0)
         assert cert.upper_bound_used == cert.value == 8 and cert.status == "Exact"
         assert is_k_dominating(g, cert.vertices, 2)
@@ -203,7 +203,7 @@ class TestGreedyUpper:
         for _ in range(60):
             g = random_connected(rng, rng.randint(1, 40), rng.uniform(0.02, 0.3))
             for k in (1, 2, 3):
-                greedy = len(_greedy_cover(tuple(range(g.n)), g.balls(k)))
+                greedy = len(_greedy_cover(tuple(range(g.n)), g.balls(k))[0])
                 assert gamma_k_exact(g, k, budget_nodes=0).upper_bound_used <= greedy
 
     @staticmethod
@@ -243,7 +243,7 @@ class TestGreedyUpper:
         assert descents == []
 
     def test_tie_keeps_greedy_set(self, monkeypatch):
-        greedy = self._spy(monkeypatch, "_greedy_cover")
+        greedy = self._spy(monkeypatch, "_greedy_cover", lambda result: result[0])
         descents = self._spy(monkeypatch, "_root_scan", self._descent)
         g = random_connected(random.Random(10), 11, 0.25)
         cert = gamma_k_exact(g, 1, budget_nodes=0)
@@ -503,7 +503,7 @@ class TestGreedyCover:
             for k in (1, 2, 3):
                 balls = g.balls(k)
                 for vertices in g.components():
-                    cover = _greedy_cover(vertices, balls)
+                    cover = _greedy_cover(vertices, balls)[0]
                     assert cover == self._reference(vertices, balls), (g.edges, k, vertices)
 
     def test_no_cliff_on_a_broom(self):
@@ -554,8 +554,8 @@ class TestUndominated:
 
 
 class TestFractionalBound:
-    """``_fractional_lower``: one over the largest k-ball holding each vertex,
-    summed and rounded up."""
+    """The second field of ``_greedy_cover``: one over the largest k-ball
+    holding each vertex, summed and rounded up."""
 
     def test_matches_fraction_sum_and_stays_below_gamma(self):
         rng = random.Random(67)
@@ -563,11 +563,10 @@ class TestFractionalBound:
             g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.05, 0.5))
             for k in (1, 2, 3):
                 balls = g.balls(k)
-                sizes = list(map(len, balls))
                 total = 0
                 for vertices in g.components():
                     y = sum(Fraction(1, max(len(balls[u]) for u in vertices if v in balls[u])) for v in vertices)
-                    bound = _fractional_lower(vertices, balls, sizes)
+                    bound = _greedy_cover(vertices, balls)[1]
                     assert bound == math.ceil(y), (g.edges, k)
                     total += bound
                 assert total <= gamma_k_oracle(g, k).value
@@ -831,7 +830,7 @@ def _dual(g: Graph, k: int):
     labelling, from the greedy cover: (y, cover, lower, candidates, greedy)."""
     balls = g.balls(k)
     cands = sorted(_root_scan(tuple(range(g.n)), balls)[0])
-    greedy = len(_greedy_cover(tuple(range(g.n)), balls))
+    greedy = len(_greedy_cover(tuple(range(g.n)), balls)[0])
     y, cover, lower = lagrangian([list(b) for b in balls], cands, greedy)
     return y, cover, lower, cands, greedy
 
@@ -902,6 +901,15 @@ class TestEscalation:
                 if cover is not None:
                     assert len(cover) < greedy and is_k_dominating(g, cover, k)
 
+    def test_exact_cover_stops_the_subgradient(self):
+        # P4 at k = 1: Beasley's cover {1, 2} meets the bound at iteration 4,
+        # so the steps stop moving the multipliers and the deflected direction
+        # halves until its norm rounds to zero
+        members = [[0, 1], [0, 1, 2], [1, 2, 3], [2, 3]]
+        y, cover, lower = lagrangian(members, [1, 2], 4)
+        assert (y, cover, lower) == ([SCALE, 0, 0, SCALE], [1, 2], 2 * SCALE)
+        assert all(sum(y[v] for v in members[c]) <= SCALE for c in (1, 2))
+
     def test_dual_weight_at_most_highs_optimum(self):
         pytest.importorskip("scipy")
         rng = random.Random(43)
@@ -963,14 +971,14 @@ class TestEscalation:
         balls = g.balls(1)
         members = [list(b) for b in balls]  # the identity labelling
         cands = sorted(_root_scan(tuple(range(g.n)), balls)[0])
-        y, _, _, costs, dear = escalate(members, cands, len(_greedy_cover(tuple(range(g.n)), balls)))
-        reduced = {c: SCALE - sum(y[v] for v in members[c]) for c in cands}
+        weigh, _, _, costs, keep = escalate(members, cands, len(_greedy_cover(tuple(range(g.n)), balls)[0]))
+        reduced = {c: SCALE - weigh(sum(1 << v for v in members[c])) for c in cands}
         width = -(-len(cands) // 256)
-        assert len(costs) <= 256 and len(dear) == len(costs) + 1 and len(set(reduced.values())) > 2
+        assert len(costs) <= 256 and len(keep) == len(costs) + 1 and len(set(reduced.values())) > 2
         for slack in {-1, 0, SCALE, *reduced.values(), *(r - 1 for r in reduced.values())}:
-            mask = dear[bisect_right(costs, slack)]
-            banned = {c for c in cands if mask >> c & 1}
-            assert mask == sum(1 << c for c in banned)
+            mask = keep[bisect_right(costs, slack)]
+            banned = {c for c in cands if not mask >> c & 1}
+            assert mask == sum(1 << c for c in cands if c not in banned)
             assert all(reduced[c] > slack for c in banned), slack
             dearer = {c for c in cands if reduced[c] > slack}
             if width == 1:
