@@ -274,7 +274,9 @@ def gamma_k_exact(
     average ball size (``_ESCALATION_DELAY``): at node 2048 for balls of at
     most about 13.6 vertices on average, later for larger ones, since the
     escalation reads the balls up to 70 times. It adds a Lagrangian dual
-    bound (Fisher 1981) and Lagrangian incumbents (Beasley 1990). The
+    bound (Fisher 1981), Lagrangian incumbents (Beasley 1990) and, unless
+    the bound proves the incumbent optimal, a weighted local search from the
+    better incumbent (Cai, Su and Sattar 2011) that may replace it. The
     escalation is charged no node and is not interrupted by the clock; a
     search that ends before node 2048 never escalates.
 
@@ -392,7 +394,8 @@ def _solve_component(vertices, balls, nodes_left, deadline):
     k-ball cover for integer dual weights, summed over a mask by ``weigh``,
     under which no root candidate's ball weighs more than ``SCALE``, so they
     bound every node (each allows only root candidates); its Lagrangian
-    covers may replace the incumbent. From then on a popped node is cut when
+    covers and its local search from ``best_set`` may replace the
+    incumbent. From then on a popped node is cut when
     ``weigh(uncovered)`` is above ``(room - 1) * SCALE`` (``room`` =
     incumbent size - node size), and a candidate is dropped at it (one ``&``
     with a keep mask) when that weight plus its reduced cost is.
@@ -441,7 +444,8 @@ def _solve_component(vertices, balls, nodes_left, deadline):
                 break
             if weigh is None and (nodes + 1) * len(ball) >= _ESCALATION_DELAY * sum(map(int.bit_count, ball)):
                 weigh, cover, lower, costs, keep = dual.escalate(
-                    [list(_iter_bits(b)) for b in ball], list(_iter_bits(allowed_at_root)), best)
+                    [list(_iter_bits(b)) for b in ball], list(_iter_bits(allowed_at_root)),
+                    list(_iter_bits(best_set)))
                 if cover is not None:
                     best, best_set = len(cover), sum(1 << p for p in cover)
                 stack.append((uncovered, allowed, chosen, size))  # this node, to be weighed too

@@ -31,7 +31,7 @@ from kdom import (
 )
 import kdom.dual
 import kdom.solver
-from kdom.dual import SCALE, escalate, lagrangian, weigher
+from kdom.dual import SCALE, escalate, lagrangian, local_search, weigher
 from kdom.solver import ORACLE_MAX_N, _greedy_cover, _root_scan
 
 
@@ -825,14 +825,28 @@ class TestTreeReference:
             assert _tree_gamma(tree, k) == res.certificate.value, k
 
 
+def _columns(members, cands):
+    """The set-cover columns ``dual.escalate`` builds: the ball of each
+    candidate, and for each position the indices of the balls holding it."""
+    cols = [members[c] for c in cands]
+    return cols, [[j for j, col in enumerate(cols) if p in col] for p in range(len(members))]
+
+
+def _escalation_input(g: Graph, k: int):
+    """(balls, candidates, columns, owners, greedy cover) of a connected graph
+    in the identity labelling, as the escalation sees them."""
+    balls = g.balls(k)
+    cands = sorted(_root_scan(tuple(range(g.n)), balls)[0])
+    cols, owners = _columns([list(b) for b in balls], cands)
+    return balls, cands, cols, owners, _greedy_cover(tuple(range(g.n)), balls)[0]
+
+
 def _dual(g: Graph, k: int):
     """The escalation's Lagrangian on a connected graph in the identity
     labelling, from the greedy cover: (y, cover, lower, candidates, greedy)."""
-    balls = g.balls(k)
-    cands = sorted(_root_scan(tuple(range(g.n)), balls)[0])
-    greedy = len(_greedy_cover(tuple(range(g.n)), balls)[0])
-    y, cover, lower = lagrangian([list(b) for b in balls], cands, greedy)
-    return y, cover, lower, cands, greedy
+    _, cands, cols, owners, greedy = _escalation_input(g, k)
+    y, cover, lower = lagrangian(cols, owners, len(greedy))
+    return y, cover and [cands[j] for j in cover], lower, cands, len(greedy)
 
 
 def _no_lagrangian(*args):
@@ -872,12 +886,13 @@ ESCALATED_SOLVES = [
         "k": 2, "gamma_k": 6, "set": [0, 10, 11, 14, 35, 57], "status": "Exact", "lower_bound_used": 3,
         "nodes_explored": 4229, "method": "BranchAndBound", "components": 1,
     }, 6),
-    # the Beasley cover lowers the incumbent 31 -> 30 at the escalation, the
-    # search then finds 29 and prunes again before its budget runs out
+    # at the escalation Beasley's cover lowers the incumbent 31 -> 30 and the
+    # local search from it 30 -> 28, the HiGHS optimum, which the budget
+    # stops the search from proving
     ("sparse-44-130", lambda: _sparse(44, 130), 1, 6000, {
-        "k": 1, "gamma_k": 29,
-        "set": [1, 3, 8, 9, 11, 12, 15, 19, 24, 25, 28, 33, 35, 36, 40, 43, 47, 59, 66, 67, 84, 86, 89, 95, 100,
-                107, 113, 124, 128],
+        "k": 1, "gamma_k": 28,
+        "set": [0, 9, 11, 12, 15, 25, 28, 30, 33, 35, 36, 43, 53, 55, 59, 66, 67, 72, 83, 84, 86, 89, 106, 107,
+                112, 115, 124, 127],
         "status": "UpperBoundOnly", "lower_bound_used": 23, "nodes_explored": 6000, "method": "BranchAndBound",
         "components": 1,
     }, 31),
@@ -901,14 +916,29 @@ class TestEscalation:
                 if cover is not None:
                     assert len(cover) < greedy and is_k_dominating(g, cover, k)
 
-    def test_exact_cover_stops_the_subgradient(self):
-        # P4 at k = 1: Beasley's cover {1, 2} meets the bound at iteration 4,
-        # so the steps stop moving the multipliers and the deflected direction
-        # halves until its norm rounds to zero
+    def test_exact_cover_stops_the_subgradient(self, monkeypatch):
+        # P4 at k = 1: Beasley's cover {1, 2} (columns 0 and 1) meets the
+        # bound at iteration 4, which proves it optimal, so no later
+        # iteration looks for another cover
+        calls = []
+        original = kdom.dual.lagrangian_cover
+        monkeypatch.setattr(kdom.dual, "lagrangian_cover", lambda *a: calls.append(a) or original(*a))
         members = [[0, 1], [0, 1, 2], [1, 2, 3], [2, 3]]
-        y, cover, lower = lagrangian(members, [1, 2], 4)
-        assert (y, cover, lower) == ([SCALE, 0, 0, SCALE], [1, 2], 2 * SCALE)
+        y, cover, lower = lagrangian(*_columns(members, [1, 2]), 4)
+        assert (y, cover, lower) == ([SCALE, 0, 0, SCALE], [0, 1], 2 * SCALE)
         assert all(sum(y[v] for v in members[c]) <= SCALE for c in (1, 2))
+        assert len(calls) == 1
+
+    def test_zero_norm_stops_the_subgradient(self):
+        # Beasley's cover {2, 3, 4} stays above the bound 2, and by iteration
+        # 30 the part of the deflected direction free to move is so small
+        # against the part held at zero that the norm rounds to zero
+        g = Graph(7, [(0, 1), (0, 2), (0, 5), (1, 4), (1, 5), (2, 3), (3, 5), (4, 6), (5, 6)])
+        members = [list(b) for b in g.balls(1)]
+        y, cover, lower = lagrangian(*_columns(members, range(7)), 5)  # no ball lies inside another
+        assert (y, cover, lower) == ([349526, 0, 8213845, 8213845, 8563371, 0, 8213845], [2, 3, 4], 2 * SCALE)
+        assert all(sum(y[v] for v in ball) <= SCALE for ball in members)
+        assert is_k_dominating(g, cover, 1) and gamma_k_oracle(g, 1).value == 3
 
     def test_dual_weight_at_most_highs_optimum(self):
         pytest.importorskip("scipy")
@@ -971,7 +1001,7 @@ class TestEscalation:
         balls = g.balls(1)
         members = [list(b) for b in balls]  # the identity labelling
         cands = sorted(_root_scan(tuple(range(g.n)), balls)[0])
-        weigh, _, _, costs, keep = escalate(members, cands, len(_greedy_cover(tuple(range(g.n)), balls)[0]))
+        weigh, _, _, costs, keep = escalate(members, cands, _greedy_cover(tuple(range(g.n)), balls)[0])
         reduced = {c: SCALE - weigh(sum(1 << v for v in members[c])) for c in cands}
         width = -(-len(cands) // 256)
         assert len(costs) <= 256 and len(keep) == len(costs) + 1 and len(set(reduced.values())) > 2
@@ -1009,10 +1039,7 @@ class TestEscalation:
             cert = gamma_k_exact(g, k, budget_nodes=10_000)
             optimum = _highs_gamma(g, k)
             assert is_k_dominating(g, cert.vertices, k)
-            if cert.status == "Exact":
-                assert cert.value == optimum, (n, k)
-            else:
-                assert cert.value >= optimum, (n, k)
+            assert cert.status == "Exact" and cert.value == optimum, (n, k)
         assert len(calls) == 11  # only (100, 2) ends before its escalation, at node 3912
 
     def test_larger_balls_escalate_later(self, monkeypatch):
@@ -1023,6 +1050,114 @@ class TestEscalation:
         monkeypatch.setattr(kdom.dual, "escalate", lambda *a: calls.append(a) or original(*a))
         assert gamma_k_exact(_sparse(8, 90), 2).nodes_explored == 3459 and not calls
         assert gamma_k_exact(_sparse(2, 90), 2).nodes_explored > 4096 and len(calls) == 1
+
+
+class _Counted(list):
+    """A ball list that adds its length to ``reads[0]`` whenever it is
+    iterated, to count the entries a local search reads."""
+
+    def __init__(self, items, reads):
+        super().__init__(items)
+        self.reads = reads
+
+    def __iter__(self):
+        self.reads[0] += len(self)
+        return super().__iter__()
+
+
+# (id, graph, k) of the local search's inputs: sparse graphs of 12-150
+# vertices, a tree and a clique-expanded path
+LOCAL_SEARCH_CASES = [
+    *((f"sparse-{n}-k{k}", lambda n=n: random_connected(random.Random(n), n, 2.5 / n), k)
+      for n in (12, 16, 30, 60, 100, 150) for k in (1, 2, 3)),
+    ("tree-200", lambda: random_tree(random.Random(7), 200), 1),
+    ("clique-expanded-40-3", lambda: clique_expanded_path(40, 3), 1),
+]
+
+
+class TestLocalSearch:
+    """The escalation's weighted local search, run from the greedy cover
+    with the Lagrangian bound, as ``dual.escalate`` runs it."""
+
+    @staticmethod
+    def _search(g, k, counted=False):
+        """(result, candidates, greedy size, lower, entries read)."""
+        _, cands, cols, owners, greedy = _escalation_input(g, k)
+        _, _, lower = lagrangian(cols, owners, len(greedy))
+        reads = [0]
+        if counted:
+            cols = [_Counted(col, reads) for col in cols]
+            owners = [_Counted(mine, reads) for mine in owners]
+        start = [j for j, c in enumerate(cands) if c in greedy]
+        return local_search(cols, owners, start, len(greedy), lower), cands, len(greedy), lower, reads[0]
+
+    @pytest.mark.parametrize("build, k", [r[1:] for r in LOCAL_SEARCH_CASES], ids=[r[0] for r in LOCAL_SEARCH_CASES])
+    def test_smaller_dominating_and_repeatable(self, build, k):
+        g = build()
+        found, cands, greedy, lower, _ = self._search(g, k)
+        assert found == self._search(g, k)[0]
+        if found is not None:
+            assert found == sorted(set(found)) and lower <= len(found) * SCALE and len(found) < greedy
+            assert is_k_dominating(g, [cands[j] for j in found], k)
+            if g.n <= ORACLE_MAX_N:
+                assert len(found) >= gamma_k_oracle(g, k).value
+
+    def test_never_below_highs(self):
+        pytest.importorskip("scipy")
+        improved = 0
+        for _, build, k in LOCAL_SEARCH_CASES:
+            g = build()
+            found = self._search(g, k)[0]
+            if found is not None:
+                improved += 1
+                assert len(found) >= _highs_gamma(g, k), (g.n, k)
+        assert improved >= 5
+
+    def test_incumbent_with_non_candidates_is_repaired(self):
+        # the tree's leaves are no candidates: the incumbent of every
+        # non-candidate plus each candidate no leaf's ball reaches loses
+        # them, and leaves 41 vertices uncovered
+        g = random_tree(random.Random(1), 60)
+        balls, cands, cols, owners, _ = _escalation_input(g, 1)
+        non = [v for v in range(g.n) if v not in cands]
+        reached = set().union(*(balls[v] for v in non))
+        incumbent = non + [c for c in cands if c not in reached]
+        assert is_k_dominating(g, incumbent, 1)
+        start = [j for j, c in enumerate(cands) if c in incumbent]
+        assert g.n - len(set().union(*(cols[j] for j in start))) == 41
+        _, _, lower = lagrangian(cols, owners, len(incumbent))
+        found = local_search(cols, owners, start, len(incumbent), lower)
+        assert len(found) < len(incumbent) and is_k_dominating(g, [cands[j] for j in found], 1)
+
+    @pytest.mark.parametrize("cap", [3000, 8000])
+    def test_work_cap(self, monkeypatch, cap):
+        g = _sparse(2, 100)
+        _, _, cols, owners, _ = _escalation_input(g, 1)
+        # the most entries one step reads: two toggles, each reading a ball and
+        # its vertices' owners, the owners of the vertex picked, and the owners
+        # of every vertex for the weights
+        step = 2 * max(len(col) + sum(len(owners[p]) for p in col) for col in cols)
+        step += max(map(len, owners)) + sum(map(len, owners))
+        monkeypatch.setattr(kdom.dual, "_LS_WORK", 0)
+        setup = self._search(g, 1, counted=True)[4]  # the start and its repair, with no step
+        monkeypatch.setattr(kdom.dual, "_LS_WORK", cap)
+        assert setup < cap <= self._search(g, 1, counted=True)[4] < cap + step
+
+    def test_stops_at_the_bound(self, monkeypatch):
+        # once told that its best cover meets the bound, the search ends at
+        # the step that records it: one entry less and it ends before
+        g = _sparse(2, 100)
+        _, cands, cols, owners, greedy = _escalation_input(g, 1)
+        _, _, lower = lagrangian(cols, owners, len(greedy))
+        start = [j for j, c in enumerate(cands) if c in greedy]
+        best = local_search(cols, owners, start, len(greedy), lower)
+        assert lower <= (len(best) - 1) * SCALE
+        reads = [0]
+        counted = [_Counted(col, reads) for col in cols], [_Counted(mine, reads) for mine in owners]
+        assert local_search(*counted, start, len(greedy), len(best) * SCALE) == best
+        monkeypatch.setattr(kdom.dual, "_LS_WORK", reads[0])
+        found = local_search(cols, owners, start, len(greedy), lower)
+        assert found is None or len(found) > len(best)
 
 
 def _sparse(seed: int, n: int) -> Graph:
@@ -1084,10 +1219,11 @@ def test_heavy_search_tree_pinned(monkeypatch):
             rows.append([n, k, cert.to_dict(), cert.upper_bound_used, len(calls)])
     escalated_then_stopped = {k for _, k, d, _, e in rows if e and d["nodes_explored"] == 10_000}
     assert {1, 2} <= escalated_then_stopped
-    # the certificates as the search produced them before its stack entries
-    # carried the uncovered mask and the node size
+    # the certificates as the search produced them once the escalation ran a
+    # local search: (130, 2) is proved at 9, and (130, 1) and (150, 2) end one
+    # below their earlier incumbents
     text = json.dumps(rows, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == "970247f8b79e1b2fa693c988ee32dee0992abf9c7ac594af68cd01780eabf8a3"
+    assert hashlib.sha256(text.encode()).hexdigest() == "c03908a7dd2ab074b98cd7fd9341ae749ed7d8cec14202e4332acfa9c9023db9"
 
 
 # (id, graph, k, gamma_k, committed ceiling on nodes_explored). The counts are
@@ -1102,8 +1238,8 @@ NODE_RATCHET = [
     ("sparse-11-120", lambda: _sparse(11, 120), 3, 4, 2304),
     # UpperBoundOnly at value 25 after 10 000 nodes before the escalation
     ("sparse-9-100", lambda: _sparse(9, 100), 1, 24, 2414),
-    # needed 8134 nodes before the escalation
-    ("sparse-38-80", lambda: _sparse(38, 80), 1, 18, 3190),
+    # needed 8134 nodes before the escalation and 3190 before its local search
+    ("sparse-38-80", lambda: _sparse(38, 80), 1, 18, 2047),
     # 11 and 3 nodes before the fractional root bound
     ("petersen", petersen, 1, 3, 0),
     ("cycle-25", lambda: cycle(25), 1, 9, 0),
