@@ -158,7 +158,10 @@ def _greedy_cover(vertices: tuple[int, ...], balls: tuple[tuple[int, ...], ...])
     y, so each dominator covers at most 1 of the total. By symmetry the balls
     holding v are centred in ``balls[v]``, so the bound is read off the gains
     before the cover lowers them, in exact integer arithmetic over the lcm of
-    the distinct maxima.
+    the distinct maxima. A centre whose own ball is a largest of the
+    component takes that size with no scan; only the others take the maximum
+    over their ball. Reading the bound thus costs O(m) when every centre
+    holds a largest ball, and Σ|B| at worst.
 
     Each centre's gain, its count of uncovered ball vertices, is kept exact:
     covering u lowers by one the gain of every centre in ``balls[u]``, which
@@ -177,13 +180,14 @@ def _greedy_cover(vertices: tuple[int, ...], balls: tuple[tuple[int, ...], ...])
         pos = {v: p for p, v in enumerate(vertices)}
         members = [[pos[u] for u in balls[v]] for v in vertices]
     gains = list(map(len, members))
-    tops = [max(map(gains.__getitem__, ball)) for ball in members]
+    ascending = sorted(gains)
+    top = ascending[-1]
+    tops = [size if size == top else max(map(gains.__getitem__, ball)) for size, ball in zip(gains, members)]
     den = math.lcm(*set(tops))
     bound = -(-sum(map(den.__floordiv__, tops)) // den)
-    ascending = sorted(gains)
     pivot = ascending[m // 2]  # at least half the balls hold this many vertices
     by_size: dict[int, list[int]] = {}  # the larger balls' centres, by size
-    if ascending[-1] > pivot:
+    if top > pivot:
         for p in compress(range(m), map(pivot.__lt__, gains)):
             by_size.setdefault(gains[p], []).append(p)
     gains.append(0)  # position m: a sentinel set to each level, so no scan raises
@@ -191,7 +195,7 @@ def _greedy_cover(vertices: tuple[int, ...], balls: tuple[tuple[int, ...], ...])
     left = m
     chosen = []
     tall: list[int] | range = []  # ascending positions whose balls hold at least `level` vertices
-    for level in range(ascending[-1], 0, -1):
+    for level in range(top, 0, -1):
         if level > pivot:
             tall += by_size.get(level, ())
             tall.sort()  # two ascending runs: a linear merge

@@ -557,6 +557,11 @@ class TestFractionalBound:
     """The second field of ``_greedy_cover``: one over the largest k-ball
     holding each vertex, summed and rounded up."""
 
+    @staticmethod
+    def _reference(vertices, balls):
+        """The bound of one component, summed in Fractions over every ball."""
+        return math.ceil(sum(Fraction(1, max(len(balls[u]) for u in vertices if v in balls[u])) for v in vertices))
+
     def test_matches_fraction_sum_and_stays_below_gamma(self):
         rng = random.Random(67)
         for _ in range(40):
@@ -565,11 +570,44 @@ class TestFractionalBound:
                 balls = g.balls(k)
                 total = 0
                 for vertices in g.components():
-                    y = sum(Fraction(1, max(len(balls[u]) for u in vertices if v in balls[u])) for v in vertices)
                     bound = _greedy_cover(vertices, balls)[1]
-                    assert bound == math.ceil(y), (g.edges, k)
+                    assert bound == self._reference(vertices, balls), (g.edges, k)
                     total += bound
                 assert total <= gamma_k_oracle(g, k).value
+
+    def test_largest_balls_on_both_sides(self):
+        # a centre holding a largest ball of its component takes its own size:
+        # all but O(k) centres of the tight families, one or two hubs of a star
+        # or a broom at k = 1, and each component's own largest beside another's;
+        # on the comb (a spine with one leaf per vertex, two on vertex 60) most
+        # spine centres are one vertex short of the largest and hold no largest
+        spine = 120
+        comb = Graph(2 * spine + 1, [*((v, v + 1) for v in range(spine - 1)),
+                                     *((v, spine + v) for v in range(spine)), (60, 2 * spine)])
+        graphs = [path(251), cycle(240), clique_expanded_path(120, 2), clique_expanded_path(90, 3),
+                  star(30), broom(12), _disjoint_union(star(12), path(200)), comb]
+        for g in graphs:
+            for k in (1, 2, 3):
+                balls = g.balls(k)
+                for vertices in g.components():
+                    assert _greedy_cover(vertices, balls)[1] == self._reference(vertices, balls), (g.n, k)
+
+    def test_largest_balls_take_no_max(self, monkeypatch):
+        # the bound takes a maximum over the ball of every centre not holding a
+        # largest ball, and over no other ball
+        calls = []
+        monkeypatch.setattr(kdom.solver, "max", lambda *a: calls.append(1) or max(*a), raising=False)
+
+        def maxima(g, k):
+            calls.clear()
+            _greedy_cover(tuple(range(g.n)), g.balls(k))
+            return len(calls)
+
+        for k in (1, 2, 3):
+            assert maxima(cycle(301), k) == 0
+            assert maxima(path(301), k) == 2 * k  # the k vertices nearest each end
+        g = broom(40)
+        assert maxima(g, 1) == g.n - 2  # all but hubs 0 and 1
 
     def test_raises_lower_bound_used_over_packing(self):
         # the packing bound of C_n stops at n // (2k + 1), one short of gamma
