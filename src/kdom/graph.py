@@ -6,16 +6,19 @@ and k-balls are sorted vertex tuples too, so the graph holds no bitsets: a
 k-ball table costs O(sum of ball sizes), and only the exact solver builds
 bitsets, for a component whose root stays open. A 1-ball is read off
 ``adj``, and a larger ball is the union of the cached (k-1)-balls of its
-closed neighbourhood when that table exists, a BFS to depth k otherwise;
-a centre whose (k-1)-ball equals the previous centre's then shares its
-k-ball tuple.
+closed neighbourhood when that table exists, a BFS to depth k otherwise.
+A centre shares the previous centre's k-ball tuple where their k-balls are
+equal in a first table, and where their (k-1)-balls are in a grown one, so
+consecutive true twins (the cells of a clique-expanded path) hold one tuple
+in every table, which the solver's root reads once.
 Distances are plain hop counts; inside a BFS distance row "unreachable" is
 the sentinel value n (strictly larger than any realizable distance), while
 reporting-level quantities (diameter, radius, girth, eccentricity) use
 ``math.inf`` so disconnected and acyclic cases read naturally.
 
 Eccentricities come from a few bounded BFS sweeps rather than one BFS per
-vertex (none beyond the connectivity BFS on a cycle), and the girth from a
+vertex (none beyond the connectivity BFS on a cycle, and none from a true
+twin of an earlier source), and the girth from a
 scan of the 2-core that deletes each root after its BFS; see
 :meth:`Graph.metrics`.
 """
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from .errors import IndexOutOfRange, SimplenessViolation
@@ -156,8 +160,9 @@ class Graph:
         cached (k-1)-table, where a centre whose (k-1)-ball equals the
         previous centre's shares that k-ball tuple (consecutive true twins at
         k = 2, whole cells of a clique-expanded path); otherwise each ball
-        comes from :meth:`closed_k_neighborhood`, and no lower table is built
-        only to grow from."""
+        comes from :meth:`closed_k_neighborhood`, a ball equal to the
+        previous centre's is replaced by that tuple (consecutive true twins
+        at k = 1), and no lower table is built only to grow from."""
         if k < 0:
             raise ValueError("k must be >= 0")
         table = self._balls.get(k)
@@ -165,7 +170,7 @@ class Graph:
             return table
         prev = self._balls.get(k - 1)
         if prev is None:
-            table = tuple(self.closed_k_neighborhood(v, k) for v in range(self.n))
+            table = tuple(_shared(map(self.closed_k_neighborhood, range(self.n), repeat(k))))
         else:
             table = tuple(_grown_balls(prev, self.adj))
         self._balls[k] = table
@@ -256,6 +261,17 @@ class Metrics:
     connected: bool
 
 
+def _shared(balls: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    """Yield each ball, or the previous one's tuple where the two are equal,
+    so that consecutive true twins (whole cells of a clique-expanded path at
+    k = 1) hold one tuple."""
+    last = ()  # no closed ball is empty
+    for ball in balls:
+        if ball != last:
+            last = ball
+        yield last
+
+
 def _grown_balls(
     prev: tuple[tuple[int, ...], ...], adj: tuple[tuple[int, ...], ...]
 ) -> Iterator[tuple[int, ...]]:
@@ -326,21 +342,32 @@ def _eccentricities(g: Graph, dist: list[int]) -> list[int]:
     graphs" (Algorithms, 2013). ``dist`` is the BFS row of vertex 0. After a
     BFS from s with eccentricity e, every vertex v at distance d has
     max(d, e - d) <= ecc(v) <= e + d; a vertex whose bounds meet is settled,
-    and s itself always is. The next source alternates between the unsettled
-    vertex with the smallest lower bound and the one with the largest upper
-    bound, ties to the lowest index. Paths and clique-expanded paths settle
-    after a handful of BFS; where all eccentricities are equal (as on any
-    vertex-transitive graph) each BFS settles only its source, which is why
-    :func:`_compute_metrics` answers cycles without calling this.
+    and s itself always is. So is every true twin t of s (N[t] = N[s]), at
+    e: t lies at distance 1 from s and at s's distance from every other
+    vertex, so no sweep is run from a twin of an earlier source. The next
+    source alternates between the unsettled vertex with the smallest lower
+    bound and the one with the largest upper bound, ties to the lowest
+    index. Paths and clique-expanded paths settle after a handful of BFS
+    (four on ``clique_expanded_path(300, 4)``); where all eccentricities are
+    equal (as on any vertex-transitive graph) each BFS settles only its
+    source and its twins, which is why :func:`_compute_metrics` answers
+    cycles without calling this.
     """
     n = g.n
+    adj = g.adj
     ecc = [0] * n
     lower = [0] * n
     upper = [2 * n] * n
     todo = list(range(n))  # unsettled vertices, ascending
+    source = 0
     pick_lower = True
     while True:
         e = max(dist)
+        nbrs = adj[source]
+        closed = {source, *nbrs}
+        for t in nbrs:
+            if len(adj[t]) == len(nbrs) and closed.issuperset(adj[t]):  # a true twin: N[t] = N[source]
+                lower[t] = upper[t] = e
         kept = []
         for v in todo:
             d = dist[v]

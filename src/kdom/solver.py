@@ -289,10 +289,13 @@ def gamma_k_exact(
     bound ⌈Σ_v y_v⌉, y_v one over the size of the largest k-ball holding v
     (every ball weighs at most 1 under y). Only if the bound is below that
     cover does one pass (:func:`_root_scan`) pick the candidates and give
-    the first descent, the packing bound and the root's steps; the starting
-    cover is the smaller of the greedy set and the descent (the greedy set
-    on a tie). A root bound that meets it closes the component with no node
-    and no bitset; otherwise the search starts from the steps.
+    the first descent and the root's steps; the starting cover is the
+    smaller of the greedy set and the descent (the greedy set on a tie).
+    Only if the bound is below that cover too is the packing bound counted
+    (a descent that meets the fractional bound already closes the root, and
+    no packing exceeds it then). A root bound that meets the starting cover
+    closes the component with no node and no bitset; otherwise the search
+    starts from the steps.
     Per component, ``lower_bound_used`` sums the larger root bound and
     ``upper_bound_used`` the starting cover's size; an escalation, which only
     cuts nodes and lowers the value, changes neither. With ``budget_nodes=0``
@@ -330,23 +333,32 @@ def gamma_k_exact(
 
 def _root_scan(vertices, balls):
     """The root's state from one pass over the k-ball tuples: (cands, order,
-    descent, count, steps). ``cands`` is the set of candidates, the vertices
+    descent, options, steps). ``cands`` is the set of candidates, the vertices
     whose k-ball no other contains (of equal balls the lowest index stays); a
     ball containing ``balls[v]`` is centred in it, a shorter ball never
     contains a longer one, balls of equal length contain each other only when
     equal, and a longer ball is tested as a set, built once per centre on
-    first use. ``order`` lists the vertices by ascending count of candidates
-    in their balls, ties to the lower vertex. In that order the first descent,
-    the search's dive with no bounding, gives each vertex still uncovered its
-    candidate with the most fresh coverage (ties to the lowest), and ``count``
-    (≤ γ_k) packs the vertices whose candidates miss those packed before. The
-    steps are the forced candidates (a vertex's only one) as one step, else a
-    child per candidate of ``order[0]`` by descending ball size (fresh
-    coverage at the root), ties to the lowest."""
+    first use. A vertex holding the very tuple of the vertex before it (a
+    true twin in a shared table, see :meth:`Graph.balls`) is dropped with no
+    test, since that lower twin's ball equals its own. ``order`` lists the
+    vertices by ascending count of candidates in their balls, ties to the
+    lower vertex (a stable sort, as ``vertices`` ascend), and ``options``
+    their candidate tuples in that order, one tuple per shared ball. In that
+    order the first descent, the search's dive with no bounding, gives each
+    vertex still uncovered its candidate with the most fresh coverage (ties
+    to the lowest); :func:`_packing_count` reads the packing bound off
+    ``options`` where the root needs it. The steps are the forced candidates
+    (a vertex's only one) as one step, else a child per candidate of
+    ``order[0]`` by descending ball size (fresh coverage at the root), ties
+    to the lowest."""
     as_set: dict[int, frozenset[int]] = {}
     cands = set()
+    last = None
     for v in vertices:
         bv = balls[v]
+        if bv is last:
+            continue  # the previous vertex, lower, has this ball
+        last = bv
         size = len(bv)
         for u in bv:
             bu = balls[u]
@@ -360,24 +372,42 @@ def _root_scan(vertices, balls):
                 break
         else:
             cands.add(v)
-    options = {w: tuple(filter(cands.__contains__, balls[w])) for w in vertices}
-    order = sorted(vertices, key=lambda w: (len(options[w]), w))
+    options = []
+    last = None
+    for v in vertices:
+        bv = balls[v]
+        if bv is not last:
+            last = bv
+            opts = tuple(filter(cands.__contains__, bv))
+        options.append(opts)
+    ranked = sorted(range(len(vertices)), key=[*map(len, options)].__getitem__)
+    order = list(map(vertices.__getitem__, ranked))
+    options = list(map(options.__getitem__, ranked))
     covered: set[int] = set()
-    packed: set[int] = set()
     descent = []
-    count = 0
-    for w in order:
+    for w, opts in zip(order, options):
         if w not in covered:
-            c = min(options[w], key=lambda c: (len(covered.intersection(balls[c])) - len(balls[c]), c))
+            c = min(opts, key=lambda c: (len(covered.intersection(balls[c])) - len(balls[c]), c))
             covered.update(balls[c])
             descent.append(c)
-        if packed.isdisjoint(options[w]):
-            packed.update(options[w])
-            count += 1
-    forced = {options[w][0] for w in takewhile(lambda w: len(options[w]) == 1, order)}
+    forced = {opts[0] for opts in takewhile(lambda opts: len(opts) == 1, options)}
     if forced:
-        return cands, order, descent, count, [sorted(forced)]
-    return cands, order, descent, count, [[c] for c in sorted(options[order[0]], key=lambda c: (-len(balls[c]), c))]
+        return cands, order, descent, options, [sorted(forced)]
+    return cands, order, descent, options, [[c] for c in sorted(options[0], key=lambda c: (-len(balls[c]), c))]
+
+
+def _packing_count(options):
+    """The root's packing bound (≤ γ_k): how many vertices, taken in the
+    root's order with their candidate tuples ``options``, have candidates
+    that miss those of every vertex counted before. Each needs a dominator
+    of its own."""
+    packed: set[int] = set()
+    count = 0
+    for opts in options:
+        if packed.isdisjoint(opts):
+            packed.update(opts)
+            count += 1
+    return count
 
 
 def _solve_component(vertices, balls, nodes_left, deadline):
@@ -410,9 +440,10 @@ def _solve_component(vertices, balls, nodes_left, deadline):
     the weights now do the cutting that the rest of the packing scan did."""
     start, root_lb = _greedy_cover(vertices, balls)
     if root_lb < len(start):
-        cands, order, descent, count, steps = _root_scan(vertices, balls)
+        cands, order, descent, options, steps = _root_scan(vertices, balls)
         start = min(start, descent, key=len)  # on a tie the greedy set stays
-        root_lb = max(root_lb, count)
+        if root_lb < len(start):  # a descent that meets the fractional bound closes the root
+            root_lb = max(root_lb, _packing_count(options))
     best = upper = len(start)
     if root_lb >= upper:  # the starting cover is optimal
         return start, 0, root_lb, upper, False

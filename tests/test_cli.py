@@ -1,8 +1,10 @@
 import argparse
+import hashlib
 import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -12,8 +14,8 @@ import pytest
 
 import kdom.cli
 import kdom.io
-from conftest import complete, open_root
-from kdom import cycle, direct_product, gamma_k_exact, path, serialize_edge_list
+from conftest import complete, open_root, random_connected
+from kdom import clique_expanded_path, cycle, direct_product, gamma_k_exact, path, serialize_edge_list
 from kdom.cli import build_parser, main
 
 GRAPH_IO = {"--in", "--strict", "--out"}
@@ -218,6 +220,25 @@ class TestBoundsCommand:
         assert r["verdict"] == "Consistent"
         assert r["lower_bounds"]["girth"] == 3
         assert r["exact"]["gamma_k"] == 3
+
+    def test_twin_rich_reports_pinned(self, capsys, tmp_path):
+        # clique-expanded paths, whose cells are true twins, and a dense
+        # random graph whose k = 1 root stays open; every byte but the wall
+        # clock as first produced, before twins shared ball tuples
+        graphs = [clique_expanded_path(61, 2), clique_expanded_path(45, 3),
+                  random_connected(random.Random(47), 36, 0.35)]
+        docs = []
+        for i, g in enumerate(graphs):
+            p = tmp_path / f"g{i}.txt"
+            p.write_text(serialize_edge_list(g))
+            code, doc = run_json(capsys, "bounds", "--k", "1,2,3", "--in", str(p),
+                                 "--budget-nodes", "100000", "--budget-seconds", "inf")
+            assert code == 0
+            doc.pop("timing")
+            docs.append(doc)
+        assert [r["exact"]["status"] for doc in docs for r in doc["results"]] == ["Exact"] * 9
+        text = json.dumps(docs, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == "4ac90763794d77e9ba3c6ad8255556ff7bebdaa1cfb468da1b7c20d582b44bfe"
 
 
 class TestProductCommand:

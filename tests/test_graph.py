@@ -17,6 +17,7 @@ from kdom import (
     from_edge_list,
     path,
 )
+from kdom.graph import _eccentricities
 
 
 def grid(rows: int, cols: int) -> Graph:
@@ -308,11 +309,20 @@ class TestGrownBallTables:
 
     def test_clique_cells_share_their_balls(self):
         g = clique_expanded_path(6, 3)  # ends 0 and 13, cells {1,2,3} ... {10,11,12}
-        g.balls(1)
-        for k in (2, 3):
+        for k in (1, 2, 3):  # the first table is built ball by ball, the others grown
             table = g.balls(k)
             assert len({id(ball) for ball in table}) == 6
             assert all(table[c] is table[c + 1] is table[c + 2] for c in range(1, 13, 3))
+        # 596 vertices in 198 cells and two ends: 596 tuples when each was built apart
+        assert len({id(ball) for ball in clique_expanded_path(200, 3).balls(1)}) == 200
+
+    @pytest.mark.parametrize("g", ball_graphs(), ids=repr)
+    def test_first_table_shares_where_consecutive_balls_are_equal(self, g):
+        for k in range(5):
+            table = Graph(g.n, g.edges).balls(k)  # a first request, built ball by ball
+            for v in range(1, g.n):
+                assert (table[v] is table[v - 1]) == (table[v] == table[v - 1])
+            assert len({id(ball) for ball in table}) == sum(v == 0 or table[v] != table[v - 1] for v in range(g.n))
 
     def test_false_twins_share_from_k_3(self):
         g = Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
@@ -399,6 +409,17 @@ class TestMetrics:
         g.metrics()
         assert len(calls) <= 12
 
+    @pytest.mark.parametrize("b, d, sweeps", [(200, 3, 4), (300, 4, 4)])
+    def test_twins_of_a_source_need_no_sweep(self, b, d, sweeps, monkeypatch):
+        # a true twin of a BFS source has its eccentricity, so a source's
+        # cell mates are settled with it (10 and 13 sweeps when each cell
+        # was swept vertex by vertex)
+        calls = []
+        bfs = Graph.bfs_distances
+        monkeypatch.setattr(Graph, "bfs_distances", lambda self, *s: calls.append(s) or bfs(self, *s))
+        clique_expanded_path(b, d).metrics()
+        assert len(calls) == sweeps
+
     def test_cycle_needs_only_the_connectivity_bfs(self, monkeypatch):
         bfs = Graph.bfs_distances
         for n in range(3, 41):
@@ -447,6 +468,57 @@ class TestMetrics:
         for _ in range(40):
             g = random_graph(rng, rng.randint(0, 12), rng.random() * 0.5)
             assert g.is_connected() == Graph(g.n, g.edges).metrics().connected
+
+
+def complete_multipartite(*sizes: int) -> Graph:
+    """Parts of the given sizes, labelled part by part; a vertex is adjacent
+    to every vertex outside its part, so each part is a class of false twins
+    and a part of one vertex holds a vertex adjacent to all."""
+    part = [p for p, size in enumerate(sizes) for _ in range(size)]
+    return Graph(len(part), [(u, v) for u in range(len(part)) for v in range(u + 1, len(part)) if part[u] != part[v]])
+
+
+def with_copies(g: Graph, rng: random.Random, copies: int) -> Graph:
+    """``g`` with ``copies`` vertices added, each a copy of a random vertex
+    of ``g``: by turns a true twin (joined to it) and a false twin."""
+    edges = set(g.edges)
+    adj = [set(nbrs) for nbrs in g.adj]
+    for new in range(g.n, g.n + copies):
+        v = rng.randrange(g.n)
+        nbrs = adj[v] | ({v} if new % 2 else set())
+        adj.append(nbrs)
+        for u in nbrs:
+            adj[u].add(new)
+            edges.add((u, new))
+    return Graph(g.n + copies, edges)
+
+
+def twin_graphs() -> list[Graph]:
+    rng = random.Random(83)
+    return (
+        [complete(n) for n in (2, 4, 5, 9)]
+        + [clique_expanded_path(b, d) for d in (2, 3, 4) for b in (3, 4, 7, 12)]
+        + [complete_multipartite(*sizes) for sizes in ((1, 3), (2, 2), (1, 1, 4), (3, 3, 3), (2, 5, 1, 4))]
+        + [with_copies(random_connected(rng, n, p), rng, c)
+           for n, p, c in ((6, 0.3, 3), (10, 0.2, 6), (15, 0.1, 10), (20, 0.4, 12), (30, 0.05, 20))]
+    )
+
+
+class TestEccentricitiesWithTwins:
+    """Settling a source's true twins with it against all-pairs BFS."""
+
+    @pytest.mark.parametrize("g", twin_graphs(), ids=repr)
+    def test_matches_all_pairs(self, g):
+        assert g.is_connected()
+        expected = [max(g.bfs_distances(v)) for v in range(g.n)]
+        assert _eccentricities(g, g.bfs_distances(0)) == expected
+        assert list(g.metrics().ecc) == expected
+
+    def test_copies_hold_true_and_false_twins(self):
+        graphs = twin_graphs()[-5:]
+        closed = [[frozenset((v, *g.adj[v])) for v in range(g.n)] for g in graphs]
+        assert all(len(set(c)) < len(c) for c in closed)  # true twins
+        assert all(len({frozenset(a) for a in g.adj}) < g.n for g in graphs)  # false twins
 
 
 class TestMetricsAgainstNetworkx:

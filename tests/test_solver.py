@@ -32,7 +32,7 @@ from kdom import (
 import kdom.dual
 import kdom.solver
 from kdom.dual import SCALE, escalate, lagrangian, local_search, weigher
-from kdom.solver import ORACLE_MAX_N, _greedy_cover, _root_scan
+from kdom.solver import ORACLE_MAX_N, _greedy_cover, _packing_count, _root_scan
 
 
 class TestIsKDominating:
@@ -223,7 +223,7 @@ class TestGreedyUpper:
 
     @staticmethod
     def _descent(state):
-        return state[2]  # _root_scan returns (cands, order, descent, count, steps)
+        return state[2]  # _root_scan returns (cands, order, descent, options, steps)
 
     def test_descent_only_where_the_root_stays_open(self, monkeypatch):
         # the path's and Petersen's fractional bounds meet their greedy covers,
@@ -626,14 +626,16 @@ class TestFractionalBound:
 
 class TestRootScan:
     """``_root_scan`` against a reference that works on the candidate sets
-    directly: the candidates, the order, the first descent, the packing count
-    and the root's steps."""
+    directly: the candidates, the order, the first descent, the candidate
+    tuples and the root's steps; and ``_packing_count`` on those tuples
+    against the reference's packing count."""
 
     @staticmethod
     def _reference(vertices, balls):
-        """(cands, order, descent, count, steps) of one component, on sets. A
-        vertex's candidates are the members of its ball whose ball no other
-        ball contains (of equal balls the lowest index stays)."""
+        """(cands, order, descent, options, steps, count) of one component, on
+        sets, ``options`` the candidate tuples in ``order``. A vertex's
+        candidates are the members of its ball whose ball no other ball
+        contains (of equal balls the lowest index stays)."""
         cands = set(TestUndominated._reference(vertices, balls))
         options = {w: {c for c in balls[w] if c in cands} for w in vertices}
         order = sorted(vertices, key=lambda w: (len(options[w]), w))
@@ -653,30 +655,64 @@ class TestRootScan:
         else:
             fewest = min(vertices, key=lambda w: (len(options[w]), w))
             steps = [[c] for c in sorted(options[fewest], key=lambda c: (-len(balls[c]), c))]
-        return cands, order, descent, len(packed), steps
+        return cands, order, descent, [tuple(sorted(options[w])) for w in order], steps, len(packed)
 
     def test_matches_reference(self):
         rng = random.Random(79)
         graphs = [open_root(), *(broom(levels) for levels in (1, 2, 3, 6, 11))]
+        # consecutive true twins, which share one ball tuple in every table
+        graphs += [clique_expanded_path(b, d) for b, d in ((4, 2), (5, 3), (7, 4))]
         for _ in range(40):
             n = rng.randint(6, 60)
             graphs.append(random_connected(rng, n, rng.uniform(1.0, 4.0) / n))
+            if len(graphs) % 4 == 0:
+                graphs.append(_with_twin(graphs[-1], n - 1))
         for _ in range(20):
             graphs.append(random_graph(rng, rng.randint(6, 30), rng.uniform(0.03, 0.15)))
         assert sum(not g.is_connected() for g in graphs) > 10
         kinds = {"forced": 0, "children": 0}
+        shared = 0
         for g in graphs:
             for k in (1, 2, 3):
                 balls = g.balls(k)
                 counts = 0
                 for vertices in g.components():
                     state = _root_scan(vertices, balls)
-                    assert state == self._reference(vertices, balls), (g.edges, k, vertices)
-                    counts += state[3]
+                    shared += sum(balls[v] is balls[u] for u, v in zip(vertices, vertices[1:]))
+                    *reference, count = self._reference(vertices, balls)
+                    assert state == tuple(reference), (g.edges, k, vertices)
+                    assert _packing_count(state[3]) == count, (g.edges, k, vertices)
+                    counts += count
                     kinds["forced" if len(state[4]) == 1 else "children"] += 1
                 if g.n <= ORACLE_MAX_N:
                     assert counts <= gamma_k_oracle(g, k).value  # the packing count never exceeds gamma_k
         assert min(kinds.values()) > 40, kinds
+        assert shared > 50
+
+    def test_one_options_tuple_per_shared_ball(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(kdom.solver, "filter", lambda *a: calls.append(a) or filter(*a), raising=False)
+        g = clique_expanded_path(200, 3)  # 596 vertices, 200 distinct 1-balls
+        options = _root_scan(tuple(range(g.n)), g.balls(1))[3]
+        assert len(calls) == 200  # 596 when each vertex filtered its own ball
+        assert len({id(o) for o in options}) == 200
+
+    def test_packing_only_where_the_descent_leaves_the_root_open(self, monkeypatch):
+        scans, packings = [], []
+        scan, packing = kdom.solver._root_scan, kdom.solver._packing_count
+        monkeypatch.setattr(kdom.solver, "_root_scan", lambda *a: scans.append(a) or scan(*a))
+        monkeypatch.setattr(kdom.solver, "_packing_count", lambda o: packings.append(o) or packing(o))
+        # the first descent meets the fractional bound: the root closes unpacked
+        for g, k in ((random_connected(random.Random(62), 30, 2.5 / 30), 2), (_sparse(4, 90), 3)):
+            cert = gamma_k_exact(g, k)
+            assert cert.lower_bound_used == cert.value == 2 and cert.nodes_explored == 0
+        assert len(scans) == 2 and packings == []
+        # the packing bound closes the broom's root, and bounds open_root()'s
+        cert = gamma_k_exact(broom(12), 1)
+        assert cert.lower_bound_used == cert.value == 12 and cert.nodes_explored == 0
+        cert = gamma_k_exact(open_root(), 1, budget_nodes=0)
+        assert cert.lower_bound_used == 2 and cert.status == "UpperBoundOnly"
+        assert len(scans) == len(packings) + 2 == 4
 
 
 class TestClosesAtTheRoot:
