@@ -178,9 +178,11 @@ def preserving_spanning_tree(g: Graph, k: int, **budget) -> SpanningTreeResult:
 
     tree_edges = [(v, parent[v]) for v in range(n) if parent[v] != -1]
 
-    # Kruskal over lexicographically sorted cross-cell edges joins the cells.
+    # Kruskal over the cross-cell edges in lexicographic order, which is the
+    # order of adj's sorted pairs (u, v) with u < v, joins the cells.
     comp = list(range(len(dominators)))
-    connectors = [(u, v) for u, v in sorted(g.edges) if _join(comp, label[u], label[v])]
+    connectors = [(u, v) for u, nbrs in enumerate(g.adj) for v in nbrs
+                  if u < v and _join(comp, label[u], label[v])]
     if len(dominators) - len(connectors) > 1:  # the empty graph has no cells
         raise AssertionError("cell quotient graph is not connected")
 

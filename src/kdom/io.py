@@ -117,5 +117,6 @@ def _from_pairs(n: int, pairs: list[tuple[int, int]], strict: bool) -> Graph:
 def serialize_edge_list(g: Graph) -> str:
     """Canonical text form of a graph (round-trips through parse_edge_list)."""
     lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
+    # adj holds sorted tuples, so its (u, v) pairs with u < v come in order
+    lines.extend(f"{u} {v}" for u, nbrs in enumerate(g.adj) for v in nbrs if u < v)
     return "\n".join(lines) + "\n"

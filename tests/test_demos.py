@@ -66,19 +66,25 @@ def _pythons(version):
     return sorted(found)
 
 
+def _cli_output(python, argv, cpu=None):
+    """Exit code and JSON without "timing" of one CLI run, on one CPU if ``cpu`` is set."""
+    pin = None if cpu is None else lambda: os.sched_setaffinity(0, {cpu})  # the child only
+    proc = subprocess.run([python, *STRICT, "-m", "kdom", *argv], capture_output=True, env=_env(), preexec_fn=pin)
+    doc = json.loads(proc.stdout)
+    del doc["timing"]
+    return proc.returncode, doc
+
+
+FUZZ = ["fuzz", "--seed", "7", "--trials", "40"]
+
+
 def _cli_outputs(python, graphs):
     """Exit code and JSON without "timing" of a seeded fuzz run and of a
     solve of each (graph file, node budget)."""
-    runs = [["fuzz", "--seed", "7", "--trials", "40"]]
+    runs = [FUZZ]
     runs += [["gamma", "--k", "1", "--budget-nodes", str(budget), "--budget-seconds", "inf", "--in", str(p)]
              for p, budget in graphs]
-    outputs = []
-    for argv in runs:
-        proc = subprocess.run([python, *STRICT, "-m", "kdom", *argv], capture_output=True, env=_env())
-        doc = json.loads(proc.stdout)
-        del doc["timing"]
-        outputs.append((proc.returncode, doc))
-    return outputs
+    return [_cli_output(python, argv) for argv in runs]
 
 
 def test_declared_python_floor(tmp_path, monkeypatch):
@@ -102,7 +108,12 @@ def test_declared_python_floor(tmp_path, monkeypatch):
         pytest.skip("no runnable python3.10, python3.12 or python3.13")
     want = _cli_outputs(sys.executable, graphs)
     assert [doc["status"] for _, doc in want[1:]] == ["Exact", "UpperBoundOnly", "UpperBoundOnly"]
+    # pinned to one CPU, fuzz runs every trial in the calling process; with
+    # more it forks workers, which meets the fork checks of 3.12 and later
+    cpu = min(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else None
     script = "bounds_tour.py"
     for python in pythons:
         assert hashlib.sha256(_demo_stdout(python, script)).hexdigest() == STDOUT_SHA256[script], python
         assert _cli_outputs(python, graphs) == want, python
+        if cpu is not None:
+            assert _cli_output(python, FUZZ, cpu) == want[0], python

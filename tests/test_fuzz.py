@@ -1,13 +1,19 @@
 import hashlib
 import importlib
 import json
+import os
 import random
+import subprocess
+import sys
+import threading
 import types
+from pathlib import Path
 
 import pytest
 
 from conftest import random_connected, random_tree
 from kdom import Graph, cycle, fuzz, random_connected_graph
+from kdom.cli import main
 from kdom.fuzz import CHECKS, _non_bridges
 
 fuzz_module = importlib.import_module("kdom.fuzz")  # the package re-exports fuzz() over it
@@ -15,6 +21,16 @@ fuzz_module = importlib.import_module("kdom.fuzz")  # the package re-exports fuz
 # the factors of trial 1 of fuzz(seed=3, trials=2, n_range=(6, 8), k_set=(2,))
 LEFT_FACTOR = "4 5\n0 1\n0 2\n0 3\n1 3\n2 3\n"
 RIGHT_FACTOR = "5 10\n0 1\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
+PINNED_SHA256 = "a9b15b10890d23ccbcfcaf1f08b247aebe469d4a6277d19d343ce15575ba684b"
+
+
+def _pinned_run():
+    """The run whose report bytes ``TestFuzz.test_report_bytes_pinned`` pins."""
+    return fuzz(seed=123, trials=40, n_range=(4, 14), k_set=(1, 2))
+
+
+def _sha256(report):
+    return hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True, indent=2).encode()).hexdigest()
 
 
 def _building_every_draw(rng, n, p):
@@ -182,3 +198,159 @@ class TestFailureEntries:
                 "bound": 1,
             }
         ]
+
+
+@pytest.fixture
+def no_child_left():
+    yield
+    with pytest.raises(ChildProcessError):  # every child fuzz() forked was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def cpus(monkeypatch, no_child_left):
+    """A function that sets the CPU count fuzz() sees and returns the list
+    of forks made from then on."""
+    if fuzz_module._threads() > 1:
+        pytest.skip("another thread runs in this process, so fuzz() forks nothing")
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+
+    def use(count):
+        monkeypatch.setattr(fuzz_module, "_usable_cpus", lambda: count)
+        forks.clear()
+        return forks
+
+    return use
+
+
+class TwoArgError(Exception):
+    """Pickles, but unpickling calls it with its message alone and fails."""
+
+    def __init__(self, message, index):
+        super().__init__(message)
+        self.index = index
+
+
+def _raise_at(monkeypatch, failing, action):
+    """Make ``_run_trial`` call ``action(index)`` for each index in ``failing``."""
+    run_trial = fuzz_module._run_trial
+
+    def run(report, index, budget):
+        if index in failing:
+            action(index)
+        run_trial(report, index, budget)
+
+    monkeypatch.setattr(fuzz_module, "_run_trial", run)
+
+
+class TestSplit:
+    """Trials split over forked workers give the one-process report."""
+
+    def test_same_bytes_for_any_worker_count(self, cpus):
+        for count in (1, 2, 3, 5):
+            forks = cpus(count)
+            assert _sha256(_pinned_run()) == PINNED_SHA256, count
+            assert len(forks) == count - 1
+        # 43 trials split 21 + 22, 14 + 14 + 15 and 8 + 8 + 9 + 9 + 9
+        cpus(1)
+        want = fuzz(seed=9, trials=43, n_range=(4, 10), k_set=(1, 3)).to_dict()
+        for count in (2, 3, 5):
+            forks = cpus(count)
+            assert fuzz(seed=9, trials=43, n_range=(4, 10), k_set=(1, 3)).to_dict() == want
+            assert len(forks) == count - 1
+
+    def test_too_few_trials_stay_in_process(self, cpus):
+        forks = cpus(4)
+        fuzz(seed=1, trials=2 * fuzz_module._MIN_TRIALS_PER_WORKER - 1, n_range=(4, 6))
+        assert forks == []
+        fuzz(seed=1, trials=3 * fuzz_module._MIN_TRIALS_PER_WORKER, n_range=(4, 6))
+        assert len(forks) == 2
+
+    def test_failures_in_trial_order(self, cpus, monkeypatch):
+        monkeypatch.setattr(fuzz_module, "is_k_dominating", lambda g, s, k: False)
+        cpus(1)
+        want = _pinned_run()
+        assert len({f["trial"] for f in want.failures}) > 30
+        cpus(3)
+        assert _pinned_run().failures == want.failures
+
+    def test_child_exception_raised(self, cpus, monkeypatch):
+        cpus(2)  # the child runs trials 20..39
+
+        def fail(index):
+            raise ValueError(f"trial {index}")
+
+        _raise_at(monkeypatch, {35}, fail)
+        with pytest.raises(ValueError, match="^trial 35$"):
+            _pinned_run()
+        _raise_at(monkeypatch, {5, 25}, fail)  # the first in trial order wins
+        with pytest.raises(ValueError, match="^trial 5$"):
+            _pinned_run()
+
+    def test_unpicklable_exception_keeps_type_and_message(self, cpus, monkeypatch):
+        class LocalError(Exception):  # a local class does not pickle
+            pass
+
+        cpus(2)
+        for name, error in (("LocalError", lambda i: LocalError(f"trial {i}")),
+                            ("TwoArgError", lambda i: TwoArgError(f"trial {i}", i))):
+
+            def fail(index):
+                raise error(index)
+
+            _raise_at(monkeypatch, {30}, fail)
+            with pytest.raises(RuntimeError, match=f"^{name}: trial 30$"):
+                _pinned_run()
+
+    def test_child_dying_without_result(self, cpus, monkeypatch, capsys):
+        cpus(2)
+        _raise_at(monkeypatch, {30}, lambda index: os._exit(3))
+        with pytest.raises(RuntimeError, match="exited with status 3"):
+            _pinned_run()
+        # an internal error, never "fuzz found a violation"
+        assert main(["fuzz", "--trials", "40"]) == 4
+        assert "internal error" in capsys.readouterr().err
+
+    def test_no_fork_beside_another_thread(self, monkeypatch, no_child_left):
+        def fork():
+            raise AssertionError("fork() called with another thread running")
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(fuzz_module, "_usable_cpus", lambda: 2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert _sha256(_pinned_run()) == PINNED_SHA256
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_cli_writes_one_document(self, cpus, capfd):
+        forks = cpus(2)
+        assert main(["fuzz", "--trials", "40"]) == 0
+        out, err = capfd.readouterr()
+        assert len(forks) == 1
+        assert err == ""
+        assert json.loads(out)["trials"] == 40
+
+    def test_children_flush_no_inherited_buffer(self):
+        # stdout is a pipe here, so "before" still sits in the parent's buffer
+        # when it forks; a child that flushed on exit would write it again
+        script = (
+            "import sys, kdom.cli\n"
+            "sys.modules['kdom.fuzz']._usable_cpus = lambda: 3\n"
+            "print('before')\n"
+            "sys.exit(kdom.cli.main(['fuzz', '--trials', '40']))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        head, doc = proc.stdout.split("\n", 1)
+        assert head == "before"
+        assert json.loads(doc)["trials"] == 40
