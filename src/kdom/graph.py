@@ -7,6 +7,10 @@ k-ball table costs O(sum of ball sizes), and only the exact solver builds
 bitsets, for a component whose root stays open. A 1-ball is read off
 ``adj``, and a larger ball is the union of the cached (k-1)-balls of its
 closed neighbourhood when that table exists, a BFS to depth k otherwise.
+Where those (k-1)-balls are runs of consecutive labels that meet, as on a
+path, cycle or clique-expanded path labelled along itself, the union is
+one run, joined from the two balls that reach furthest left and right with
+no set or sort.
 A centre shares the previous centre's k-ball tuple where their k-balls are
 equal in a first table, and where their (k-1)-balls are in a grown one, so
 consecutive true twins (the cells of a clique-expanded path) hold one tuple
@@ -159,7 +163,9 @@ class Graph:
         every call. Memory is O(sum of ball sizes). A table grows from the
         cached (k-1)-table, where a centre whose (k-1)-ball equals the
         previous centre's shares that k-ball tuple (consecutive true twins at
-        k = 2, whole cells of a clique-expanded path); otherwise each ball
+        k = 2, whole cells of a clique-expanded path), and a union of
+        meeting runs of consecutive labels is joined from two of them without
+        a set or sort (see :func:`_grown_balls`); otherwise each ball
         comes from :meth:`closed_k_neighborhood`, a ball equal to the
         previous centre's is replaced by that tuple (consecutive true twins
         at k = 1), and no lower table is built only to grow from."""
@@ -278,14 +284,44 @@ def _grown_balls(
     """Yield each vertex's k-ball, the union of the (k-1)-balls ``prev`` of
     its closed neighbourhood. That is also the closed neighbourhood of its own
     (k-1)-ball, so a centre whose (k-1)-ball equals the previous centre's
-    reuses that centre's k-ball tuple."""
+    reuses that centre's k-ball tuple.
+
+    Where all these (k-1)-balls are runs of consecutive labels (most balls of
+    a graph labelled along a path) and the run starting lowest, ``left``,
+    meets or abuts the one ending highest, ``right``, their union is the run
+    from ``left[0]`` to ``right[-1]``: ``left`` joined with the tail of
+    ``right`` past ``left[-1]``, with no set or sort. For k >= 2 every one
+    of them holds the centre, so they always meet. The join is a new tuple,
+    never an alias of a (k-1)-ball; where ``left`` covers the union it is
+    copied."""
     last = grown = ()  # no closed ball is empty
     for v, ball in enumerate(prev):
         if ball != last:
-            seen = set(ball)
-            for u in adj[v]:
-                seen.update(prev[u])
-            grown = tuple(sorted(seen))
+            left = right = ball
+            lo = ball[0]
+            hi = ball[-1]
+            run = hi - lo + 1 == len(ball)
+            if run:
+                for u in adj[v]:
+                    b = prev[u]
+                    first = b[0]
+                    end = b[-1]
+                    if end - first + 1 != len(b):
+                        run = False
+                        break
+                    if first < lo:
+                        lo = first
+                        left = b
+                    if end > hi:
+                        hi = end
+                        right = b
+            if run and right[0] <= left[-1] + 1:
+                grown = left + right[left[-1] + 1 - right[0]:] if hi > left[-1] else (*left,)
+            else:
+                seen = set(ball)
+                for u in adj[v]:
+                    seen.update(prev[u])
+                grown = tuple(sorted(seen))
             last = ball
         yield grown
 
@@ -364,10 +400,13 @@ def _eccentricities(g: Graph, dist: list[int]) -> list[int]:
     while True:
         e = max(dist)
         nbrs = adj[source]
-        closed = {source, *nbrs}
+        closed = None  # N[source], built once a neighbour of equal degree turns up
         for t in nbrs:
-            if len(adj[t]) == len(nbrs) and closed.issuperset(adj[t]):  # a true twin: N[t] = N[source]
-                lower[t] = upper[t] = e
+            if len(adj[t]) == len(nbrs):
+                if closed is None:
+                    closed = {source, *nbrs}
+                if closed.issuperset(adj[t]):  # a true twin: N[t] = N[source]
+                    lower[t] = upper[t] = e
         kept = []
         for v in todo:
             d = dist[v]

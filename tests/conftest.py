@@ -38,6 +38,14 @@ def random_connected(rng: random.Random, n: int, p: float) -> Graph:
     return Graph(n, edges)
 
 
+def relabelled_path(n: int, step: int) -> Graph:
+    """The path on n vertices with position i labelled step * i mod n, for a
+    step coprime to n: with 1 < step < n - 1 its balls of 2 to n - 2
+    vertices are not runs of consecutive labels, unlike those of a path
+    labelled along itself."""
+    return Graph(n, [(step * i % n, step * (i + 1) % n) for i in range(n - 1)])
+
+
 def random_tree(rng: random.Random, n: int) -> Graph:
     return Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
 

@@ -14,7 +14,7 @@ import pytest
 
 import kdom.cli
 import kdom.io
-from conftest import complete, open_root, random_connected
+from conftest import complete, open_root, random_connected, relabelled_path
 from kdom import clique_expanded_path, cycle, direct_product, gamma_k_exact, path, serialize_edge_list
 from kdom.cli import build_parser, main
 
@@ -239,6 +239,24 @@ class TestBoundsCommand:
         assert [r["exact"]["status"] for doc in docs for r in doc["results"]] == ["Exact"] * 9
         text = json.dumps(docs, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == "4ac90763794d77e9ba3c6ad8255556ff7bebdaa1cfb468da1b7c20d582b44bfe"
+
+    def test_cycle_and_relabelled_path_reports_pinned(self, capsys, tmp_path):
+        # a cycle, whose balls are runs but for the wrap-around, and a path
+        # whose balls are not runs (its k = 3 root stays open); every byte
+        # but the wall clock as first produced, before run-shaped balls were
+        # grown by joining two neighbour balls
+        docs = []
+        for i, g in enumerate([cycle(301), relabelled_path(301, 5)]):
+            p = tmp_path / f"g{i}.txt"
+            p.write_text(serialize_edge_list(g))
+            code, doc = run_json(capsys, "bounds", "--k", "1,2,3", "--in", str(p),
+                                 "--budget-nodes", "100000", "--budget-seconds", "inf")
+            assert code == 0
+            doc.pop("timing")
+            docs.append(doc)
+        assert [r["exact"]["gamma_k"] for doc in docs for r in doc["results"]] == [101, 61, 43] * 2
+        text = json.dumps(docs, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == "ff7b20f01f5258ce7714872ca7cabe124c2a63d6fb6ed79931231cf605c88262"
 
 
 class TestProductCommand:

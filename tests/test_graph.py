@@ -5,7 +5,7 @@ from collections import deque
 
 import pytest
 
-from conftest import complete, petersen, random_connected, random_graph, random_tree
+from conftest import complete, petersen, random_connected, random_graph, random_tree, relabelled_path
 from kdom import (
     INF,
     Graph,
@@ -283,15 +283,22 @@ def ball_graphs() -> list[Graph]:
            direct_product(complete(4), complete(4))]
         # leaves 1 and 2 of hub 0, then 0-3-4: equal 2-balls, unequal 1-balls
         + [Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])]
+        # balls that are runs of consecutive labels, but not across the cycle's wrap-around
+        + [path(13), cycle(11)]
+        # no ball of 2 to n - 2 vertices is a run
+        + [relabelled_path(13, 5)]
+        # the path 0-2-4-1-3-5: each 1-ball grows from 0-balls that are runs
+        # but do not abut, as (1,) and (4,) around centre 4
+        + [Graph(6, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 5)])]
     )
 
 
 class TestGrownBallTables:
     @pytest.mark.parametrize("g", ball_graphs(), ids=repr)
     def test_tables_match_cold_bfs(self, g):
-        # asked for in ascending k, so every table past the first grows from the one below
+        # asked for in ascending k, so every table past the 0-table grows from the one below
         rows = [g.bfs_distances(v) for v in range(g.n)]
-        for k in range(1, 5):
+        for k in range(5):
             reach = min(k, g.n - 1)  # the sentinel n means unreachable
             assert g.balls(k) == tuple(tuple(u for u, d in enumerate(row) if d <= reach) for row in rows)
 
@@ -306,6 +313,14 @@ class TestGrownBallTables:
                 for w in range(g.n):
                     if lower[v] != lower[w]:
                         assert table[v] is not table[w]
+
+    @pytest.mark.parametrize("g", ball_graphs(), ids=repr)
+    def test_grown_tuples_are_new(self, g):
+        # a grown ball is never the tuple of a lower ball, also where one
+        # neighbour's run covers it or it equals the centre's own lower ball
+        for k in range(1, 5):
+            lower, table = g.balls(k - 1), g.balls(k)
+            assert not {id(ball) for ball in lower} & {id(ball) for ball in table}
 
     def test_clique_cells_share_their_balls(self):
         g = clique_expanded_path(6, 3)  # ends 0 and 13, cells {1,2,3} ... {10,11,12}
