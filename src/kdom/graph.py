@@ -7,10 +7,10 @@ k-ball table costs O(sum of ball sizes), and only the exact solver builds
 bitsets, for a component whose root stays open. A 1-ball is read off
 ``adj``, and a larger ball is the union of the cached (k-1)-balls of its
 closed neighbourhood when that table exists, a BFS to depth k otherwise.
-Where those (k-1)-balls are runs of consecutive labels that meet, as on a
-path, cycle or clique-expanded path labelled along itself, the union is
-one run, joined from the two balls that reach furthest left and right with
-no set or sort.
+Where those (k-1)-balls are runs of consecutive labels, as on a path,
+cycle or clique-expanded path labelled along itself, they all hold the
+centre, so the union is one run, joined from the two balls that reach
+furthest left and right with no set or sort.
 A centre shares the previous centre's k-ball tuple where their k-balls are
 equal in a first table, and where their (k-1)-balls are in a grown one, so
 consecutive true twins (the cells of a clique-expanded path) hold one tuple
@@ -160,21 +160,22 @@ class Graph:
     def balls(self, k: int) -> tuple[tuple[int, ...], ...]:
         """The closed k-neighborhood of every vertex, as ascending vertex
         tuples, computed once per k and cached; the same tuple is returned on
-        every call. Memory is O(sum of ball sizes). A table grows from the
-        cached (k-1)-table, where a centre whose (k-1)-ball equals the
-        previous centre's shares that k-ball tuple (consecutive true twins at
-        k = 2, whole cells of a clique-expanded path), and a union of
-        meeting runs of consecutive labels is joined from two of them without
-        a set or sort (see :func:`_grown_balls`); otherwise each ball
+        every call. Memory is O(sum of ball sizes). A table for k >= 2 grows
+        from the cached (k-1)-table, where a centre whose (k-1)-ball equals
+        the previous centre's shares that k-ball tuple (consecutive true
+        twins at k = 2, whole cells of a clique-expanded path), and a union
+        of runs of consecutive labels is joined from two of them without a
+        set or sort (see :func:`_grown_balls`); otherwise each ball
         comes from :meth:`closed_k_neighborhood`, a ball equal to the
         previous centre's is replaced by that tuple (consecutive true twins
-        at k = 1), and no lower table is built only to grow from."""
+        at k = 1, also after ``balls(0)``), and no lower table is built only
+        to grow from."""
         if k < 0:
             raise ValueError("k must be >= 0")
         table = self._balls.get(k)
         if table is not None:
             return table
-        prev = self._balls.get(k - 1)
+        prev = self._balls.get(k - 1) if k > 1 else None
         if prev is None:
             table = tuple(_shared(map(self.closed_k_neighborhood, range(self.n), repeat(k))))
         else:
@@ -281,19 +282,18 @@ def _shared(balls: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
 def _grown_balls(
     prev: tuple[tuple[int, ...], ...], adj: tuple[tuple[int, ...], ...]
 ) -> Iterator[tuple[int, ...]]:
-    """Yield each vertex's k-ball, the union of the (k-1)-balls ``prev`` of
-    its closed neighbourhood. That is also the closed neighbourhood of its own
-    (k-1)-ball, so a centre whose (k-1)-ball equals the previous centre's
-    reuses that centre's k-ball tuple.
+    """Yield each vertex's k-ball, k >= 2, the union of the (k-1)-balls
+    ``prev`` of its closed neighbourhood. That is also the closed
+    neighbourhood of its own (k-1)-ball, so a centre whose (k-1)-ball equals
+    the previous centre's reuses that centre's k-ball tuple.
 
     Where all these (k-1)-balls are runs of consecutive labels (most balls of
-    a graph labelled along a path) and the run starting lowest, ``left``,
-    meets or abuts the one ending highest, ``right``, their union is the run
-    from ``left[0]`` to ``right[-1]``: ``left`` joined with the tail of
-    ``right`` past ``left[-1]``, with no set or sort. For k >= 2 every one
-    of them holds the centre, so they always meet. The join is a new tuple,
-    never an alias of a (k-1)-ball; where ``left`` covers the union it is
-    copied."""
+    a graph labelled along a path), the run starting lowest, ``left``, meets
+    the one ending highest, ``right``, since every one of them holds the
+    centre. Their union is then the run from ``left[0]`` to ``right[-1]``:
+    ``left`` joined with the tail of ``right`` past ``left[-1]``, with no
+    set or sort. The join is a new tuple, never an alias of a (k-1)-ball;
+    where ``left`` covers the union it is copied."""
     last = grown = ()  # no closed ball is empty
     for v, ball in enumerate(prev):
         if ball != last:
@@ -315,7 +315,7 @@ def _grown_balls(
                     if end > hi:
                         hi = end
                         right = b
-            if run and right[0] <= left[-1] + 1:
+            if run:
                 grown = left + right[left[-1] + 1 - right[0]:] if hi > left[-1] else (*left,)
             else:
                 seen = set(ball)

@@ -25,7 +25,7 @@ import math
 import time
 from dataclasses import dataclass
 from bisect import bisect_right
-from itertools import combinations, compress, takewhile
+from itertools import combinations, compress
 from typing import Iterable, Iterator
 
 from . import dual
@@ -289,13 +289,13 @@ def gamma_k_exact(
     bound ⌈Σ_v y_v⌉, y_v one over the size of the largest k-ball holding v
     (every ball weighs at most 1 under y). Only if the bound is below that
     cover does one pass (:func:`_root_scan`) pick the candidates and give
-    the first descent and the root's steps; the starting cover is the
-    smaller of the greedy set and the descent (the greedy set on a tie).
+    the first descent; the starting cover is the smaller of the greedy set
+    and the descent (the greedy set on a tie).
     Only if the bound is below that cover too is the packing bound counted
     (a descent that meets the fractional bound already closes the root, and
     no packing exceeds it then). A root bound that meets the starting cover
     closes the component with no node and no bitset; otherwise the search
-    starts from the steps.
+    starts at the root, which it branches like any other node.
     Per component, ``lower_bound_used`` sums the larger root bound and
     ``upper_bound_used`` the starting cover's size; an escalation, which only
     cuts nodes and lowers the value, changes neither. With ``budget_nodes=0``
@@ -333,7 +333,7 @@ def gamma_k_exact(
 
 def _root_scan(vertices, balls):
     """The root's state from one pass over the k-ball tuples: (cands, order,
-    descent, options, steps). ``cands`` is the set of candidates, the vertices
+    descent, options). ``cands`` is the set of candidates, the vertices
     whose k-ball no other contains (of equal balls the lowest index stays); a
     ball containing ``balls[v]`` is centred in it, a shorter ball never
     contains a longer one, balls of equal length contain each other only when
@@ -347,10 +347,7 @@ def _root_scan(vertices, balls):
     order the first descent, the search's dive with no bounding, gives each
     vertex still uncovered its candidate with the most fresh coverage (ties
     to the lowest); :func:`_packing_count` reads the packing bound off
-    ``options`` where the root needs it. The steps are the forced candidates
-    (a vertex's only one) as one step, else a child per candidate of
-    ``order[0]`` by descending ball size (fresh coverage at the root), ties
-    to the lowest."""
+    ``options`` where the root needs it."""
     as_set: dict[int, frozenset[int]] = {}
     cands = set()
     last = None
@@ -390,10 +387,7 @@ def _root_scan(vertices, balls):
             c = min(opts, key=lambda c: (len(covered.intersection(balls[c])) - len(balls[c]), c))
             covered.update(balls[c])
             descent.append(c)
-    forced = {opts[0] for opts in takewhile(lambda opts: len(opts) == 1, options)}
-    if forced:
-        return cands, order, descent, options, [sorted(forced)]
-    return cands, order, descent, options, [[c] for c in sorted(options[0], key=lambda c: (-len(balls[c]), c))]
+    return cands, order, descent, options
 
 
 def _packing_count(options):
@@ -419,8 +413,8 @@ def _solve_component(vertices, balls, nodes_left, deadline):
     follows the packing order, and gets local bitsets, built from the ball
     tuples for this search alone (about m²/16 bytes per table on path-like
     labellings: the ``1 << p`` map and ``ball`` while building, then ``ball``
-    alone). The stack starts from the root's steps, so each node the loop
-    pops lies below the root.
+    alone). The stack starts from the root alone, the one entry with nothing
+    chosen, which the loop branches like any other node but does not count.
 
     Each stack entry is (uncovered, allowed, chosen, size), ``size`` the bit
     count of ``chosen``. At the escalation (:func:`gamma_k_exact` says when),
@@ -440,7 +434,7 @@ def _solve_component(vertices, balls, nodes_left, deadline):
     the weights now do the cutting that the rest of the packing scan did."""
     start, root_lb = _greedy_cover(vertices, balls)
     if root_lb < len(start):
-        cands, order, descent, options, steps = _root_scan(vertices, balls)
+        cands, order, descent, options = _root_scan(vertices, balls)
         start = min(start, descent, key=len)  # on a tie the greedy set stays
         if root_lb < len(start):  # a descent that meets the fractional bound closes the root
             root_lb = max(root_lb, _packing_count(options))
@@ -449,16 +443,10 @@ def _solve_component(vertices, balls, nodes_left, deadline):
         return start, 0, root_lb, upper, False
     bit = {v: 1 << p for p, v in enumerate(order)}
     ball = [sum(map(bit.__getitem__, balls[v])) for v in order]
-    allowed_at_root = allowed = sum(map(bit.__getitem__, cands))
+    allowed_at_root = sum(map(bit.__getitem__, cands))
     best_set = sum(map(bit.__getitem__, start))
-    full = (1 << len(order)) - 1
-    stack = []  # (uncovered, allowed, chosen, size): the first step on top, each later child excluding the earlier ones
-    for step in steps:
-        chosen = sum(map(bit.__getitem__, step))
-        covered = sum(map(bit.__getitem__, set().union(*map(balls.__getitem__, step))))
-        stack.insert(0, (full ^ covered, allowed, chosen, len(step)))
-        allowed ^= chosen
     del bit
+    stack = [((1 << len(order)) - 1, allowed_at_root, 0, 0)]  # (uncovered, allowed, chosen, size)
     nodes, stopped = 0, False
     weigh = None  # the dual weigher, once the search has escalated
 
@@ -486,7 +474,7 @@ def _solve_component(vertices, balls, nodes_left, deadline):
                 stack.append((uncovered, allowed, chosen, size))  # this node, to be weighed too
                 prune()
                 continue
-        nodes += 1
+        nodes += size > 0  # the root, the only entry with nothing chosen, is not a node
         if not uncovered:
             if size < best:
                 best, best_set = size, chosen

@@ -1,6 +1,12 @@
 """Shared graph builders for the test suite."""
 
+import os
 import random
+
+# scipy's numpy import would otherwise start OpenBLAS worker threads, and
+# fuzz() does not fork beside other threads, so its forked-worker tests would
+# skip whenever a HiGHS test ran first; set before any test imports numpy
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from kdom import Graph, from_edge_list
 

@@ -204,8 +204,9 @@ class TestClosedKNeighborhood:
         assert path(5).closed_k_neighborhood(2, 2) == (0, 1, 2, 3, 4)
 
     def test_matches_distance_rows(self):
-        # ascending requests grow each table from the cached one below it;
-        # descending and single requests run a BFS per ball (k = 1 reads adj)
+        # ascending requests grow each table past the 1-table from the cached
+        # one below it; the 0- and 1-tables and descending and single
+        # requests run a BFS per ball (k = 1 reads adj)
         rng = random.Random(23)
         graphs = [Graph(0, [])] + [random_graph(rng, rng.randint(1, 10), rng.random()) for _ in range(25)]
         assert sum(g.n == 1 for g in graphs) >= 2
@@ -287,8 +288,8 @@ def ball_graphs() -> list[Graph]:
         + [path(13), cycle(11)]
         # no ball of 2 to n - 2 vertices is a run
         + [relabelled_path(13, 5)]
-        # the path 0-2-4-1-3-5: each 1-ball grows from 0-balls that are runs
-        # but do not abut, as (1,) and (4,) around centre 4
+        # the path 0-2-4-1-3-5: its 0-balls are runs that do not abut, as (1,)
+        # and (4,) around centre 4, but its 1-table is read off adj
         + [Graph(6, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 5)])]
     )
 
@@ -296,7 +297,7 @@ def ball_graphs() -> list[Graph]:
 class TestGrownBallTables:
     @pytest.mark.parametrize("g", ball_graphs(), ids=repr)
     def test_tables_match_cold_bfs(self, g):
-        # asked for in ascending k, so every table past the 0-table grows from the one below
+        # asked for in ascending k, so every table past the 1-table grows from the one below
         rows = [g.bfs_distances(v) for v in range(g.n)]
         for k in range(5):
             reach = min(k, g.n - 1)  # the sentinel n means unreachable
@@ -321,6 +322,13 @@ class TestGrownBallTables:
         for k in range(1, 5):
             lower, table = g.balls(k - 1), g.balls(k)
             assert not {id(ball) for ball in lower} & {id(ball) for ball in table}
+
+    def test_one_table_after_zero_table_shares_twins(self):
+        # a 1-table is read off adj even where the 0-table is cached, so
+        # consecutive true twins share one tuple
+        g = clique_expanded_path(200, 3)
+        g.balls(0)
+        assert len({id(ball) for ball in g.balls(1)}) == 200
 
     def test_clique_cells_share_their_balls(self):
         g = clique_expanded_path(6, 3)  # ends 0 and 13, cells {1,2,3} ... {10,11,12}

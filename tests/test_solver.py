@@ -223,7 +223,7 @@ class TestGreedyUpper:
 
     @staticmethod
     def _descent(state):
-        return state[2]  # _root_scan returns (cands, order, descent, options, steps)
+        return state[2]  # _root_scan returns (cands, order, descent, options)
 
     def test_descent_only_where_the_root_stays_open(self, monkeypatch):
         # the path's and Petersen's fractional bounds meet their greedy covers,
@@ -403,6 +403,12 @@ class TestGammaKExact:
         cert = gamma_k_exact(g, 1, budget_seconds=0)
         assert cert.status == "UpperBoundOnly" and cert.nodes_explored < 2048
         assert is_k_dominating(g, cert.vertices, 1)
+
+    def test_time_budget_not_read_at_the_root(self):
+        # the first clock check is at node 2047, and the root is no node, so a
+        # search of fewer nodes finishes even with no time left
+        cert = gamma_k_exact(direct_product(cycle(5), path(6)), 1, budget_seconds=0)
+        assert cert.status == "Exact" and cert.value == 8 and cert.nodes_explored == 87
 
     def test_nan_time_budget_rejected(self):
         # monotonic() > nan is never true, so a NaN budget would switch the limit off
@@ -626,16 +632,19 @@ class TestFractionalBound:
 
 class TestRootScan:
     """``_root_scan`` against a reference that works on the candidate sets
-    directly: the candidates, the order, the first descent, the candidate
-    tuples and the root's steps; and ``_packing_count`` on those tuples
-    against the reference's packing count."""
+    directly: the candidates, the order, the first descent and the candidate
+    tuples; and ``_packing_count`` on those tuples against the reference's
+    packing count."""
 
     @staticmethod
     def _reference(vertices, balls):
         """(cands, order, descent, options, steps, count) of one component, on
         sets, ``options`` the candidate tuples in ``order``. A vertex's
         candidates are the members of its ball whose ball no other ball
-        contains (of equal balls the lowest index stays)."""
+        contains (of equal balls the lowest index stays). ``steps`` are how
+        the search branches the root: the forced candidates (a vertex's only
+        one) as one step, else a child per candidate of the vertex with the
+        fewest by descending ball size, ties to the lowest."""
         cands = set(TestUndominated._reference(vertices, balls))
         options = {w: {c for c in balls[w] if c in cands} for w in vertices}
         order = sorted(vertices, key=lambda w: (len(options[w]), w))
@@ -679,11 +688,11 @@ class TestRootScan:
                 for vertices in g.components():
                     state = _root_scan(vertices, balls)
                     shared += sum(balls[v] is balls[u] for u, v in zip(vertices, vertices[1:]))
-                    *reference, count = self._reference(vertices, balls)
+                    *reference, steps, count = self._reference(vertices, balls)
                     assert state == tuple(reference), (g.edges, k, vertices)
                     assert _packing_count(state[3]) == count, (g.edges, k, vertices)
                     counts += count
-                    kinds["forced" if len(state[4]) == 1 else "children"] += 1
+                    kinds["forced" if len(steps) == 1 else "children"] += 1
                 if g.n <= ORACLE_MAX_N:
                     assert counts <= gamma_k_oracle(g, k).value  # the packing count never exceeds gamma_k
         assert min(kinds.values()) > 40, kinds
