@@ -14,16 +14,18 @@ spanning-tree fallback) and, for every k in the configured set, checks:
 Trial randomness derives from (seed, trial index) only, so trials are
 independent. Where ``os.fork`` and CPU affinity exist (Linux), the process
 runs no other thread, and each usable CPU would get at least
-``_MIN_TRIALS_PER_WORKER`` trials, the trials are split into contiguous
-index ranges, one per CPU: the calling process runs the first and a forked
-child each of the others. The parent adds the children's counts and appends
-their failures in range order, so the report is the one a single process
-writes, byte for byte, whatever the worker count. Otherwise the trials run
-one after another in the calling process. The generator is Python's
-``random.Random`` (Mersenne Twister), whose sequences for a fixed integer
-seed are stable across platforms and versions. Embedded exact solves are
-bounded by a node budget alone: a wall-clock budget would make skip counts
-depend on machine load, breaking reproducibility.
+``_MIN_TRIALS_PER_WORKER`` trials, the calling process and a forked child
+per other CPU draw the trial indices from one shared queue, a pipe written
+whole before the first fork, so no worker sits idle while another still
+has trials left. The parent adds the children's counts and sorts all
+failures stably by trial, so the report is the one a single process
+writes, byte for byte, whatever the worker count and whichever worker
+drew which trial. Otherwise the trials run one after another in the
+calling process. The generator is Python's ``random.Random`` (Mersenne
+Twister), whose sequences for a fixed integer seed are stable across
+platforms and versions. Embedded exact solves are bounded by a node budget
+alone: a wall-clock budget would make skip counts depend on machine load,
+breaking reproducibility.
 """
 
 from __future__ import annotations
@@ -62,6 +64,10 @@ _MASK64 = (1 << 64) - 1
 # 1.1 ms and forking and reaping a child about 2 ms: on 2 CPUs, 8 trials run
 # as fast split as not, and 16 split take 15 ms against 22.
 _MIN_TRIALS_PER_WORKER = 8
+# Most records in the forked workers' queue. A record is 4 bytes, so the
+# queue fits PIPE_BUF (4096 bytes on Linux): the one write that fills it is
+# atomic and fits an empty pipe. Above 1024 trials a record stands for a block.
+_QUEUE_RECORDS = 1024
 
 
 def _trial_seed(seed: int, index: int) -> int:
@@ -215,61 +221,116 @@ def _threads() -> int:
 
 
 def _run_forked(report: FuzzReport, workers: int, budget: dict) -> None:
-    """Run the trials of ``report`` over ``workers`` contiguous index ranges.
+    """Run the trials of ``report`` on ``workers`` processes that draw them
+    from one shared queue.
 
-    The calling process runs the first range while one forked child runs
-    each of the others and pickles its counts and failures, or the exception
-    it raised, to a pipe. The parent merges them in range order, raises the
-    first exception in trial order, and reaps every child before it returns.
+    The queue is a pipe holding the first index of each block of
+    ``_block(report.trials)`` trials as a 4-byte record, written whole and
+    closed for writing before the first fork. The calling process and
+    ``workers - 1`` forked children each read one record at a time until the
+    pipe is empty, so a worker that finishes early takes the next block
+    rather than waiting. A child pickles what it found to a pipe of its own.
+    The parent adds up the counts, sorts all failures stably by trial (a
+    trial runs whole in one process, so this is the one-process order),
+    raises the exception of the lowest failing trial, and reaps every child
+    before it returns. Any exception empties the queue first, so the other
+    workers stop after their current trial.
     """
     import pickle  # only a forked run needs it
 
-    cuts = [report.trials * i // workers for i in range(workers + 1)]
-    running: dict[int, int] = {}  # child pid -> read end of its pipe, in range order
+    records = b"".join(i.to_bytes(4, "little") for i in range(0, report.trials, _block(report.trials)))
+    queue, w = os.pipe()
+    running: dict[int, int] = {}  # child pid -> read end of its result pipe
     try:
-        for first, stop in zip(cuts[1:-1], cuts[2:]):
+        try:
+            os.write(w, records)  # at most PIPE_BUF bytes: atomic, and it fits an empty pipe
+        finally:
+            os.close(w)
+        for _ in range(workers - 1):
             r, w = os.pipe()
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _child(report, range(first, stop), budget, w, [r, *running.values()])
+                    _child(report, queue, budget, w, [r, *running.values()])
             except BaseException:
                 os.close(r)
                 raise
             finally:
                 os.close(w)
             running[pid] = r
-        for index in range(cuts[1]):
-            _run_trial(report, index, budget)
-        for (pid, r), first, stop in zip(list(running.items()), cuts[1:], cuts[2:]):
-            with open(r, "rb", closefd=False) as pipe:
+        errors = [_work(report, queue, budget)]  # None where no trial raised
+        for pid in list(running):
+            with open(running[pid], "rb", closefd=False) as pipe:
                 data = pipe.read()
             if not data:
                 os.close(running.pop(pid))
                 status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                raise RuntimeError(f"the fuzz worker for trials {first}-{stop - 1} "
-                                   f"exited with status {status} and no result")
-            result = pickle.loads(data)  # written by _child below
-            if isinstance(result, Exception):
-                raise result
-            checks_run, failures, skipped = result
+                raise RuntimeError(f"a forked fuzz worker exited with status {status} and no result")
+            error, checks_run, failures, skipped = pickle.loads(data)  # written by _child below
+            errors.append(error)
             for check, counts in checks_run.items():
                 for disposition, count in counts.items():
                     report.checks_run[check][disposition] += count
             for reason, count in skipped.items():
                 report.skipped[reason] += count
             report.failures.extend(failures)
+        if any(errors):
+            raise min(filter(None, errors), key=lambda e: e[0])[1]
+        report.failures.sort(key=lambda f: f["trial"])
     finally:
+        _drain(queue)
+        os.close(queue)
         for pid, r in running.items():
             os.close(r)
             os.waitpid(pid, 0)
 
 
-def _child(report: FuzzReport, indices: range, budget: dict, w: int, inherited: list[int]) -> None:
-    """Body of a forked worker: run ``indices`` into a fresh report, write
-    ``(checks_run, failures, skipped)`` or the exception raised to the pipe
-    ``w``, and leave by ``os._exit``, so no inherited buffer is flushed and
-    no exit handler runs twice. Never returns."""
+def _block(trials: int) -> int:
+    """Trials per queue record: at most ``_QUEUE_RECORDS`` records cover them."""
+    return -(-trials // _QUEUE_RECORDS)
+
+
+def _drain(queue: int) -> None:
+    """Empty the queue: every worker then stops after its current trial."""
+    os.read(queue, 4 * _QUEUE_RECORDS)  # the records left are all in the pipe
+
+
+def _work(report: FuzzReport, queue: int, budget: dict) -> tuple[int, Exception] | None:
+    """Run the blocks of trials read from ``queue`` into ``report`` until the
+    queue is empty.
+
+    At the first trial that raises, drain the queue and return its index and
+    the exception as it reads after a pickle round trip, or as a
+    ``RuntimeError`` naming its type and message where it does not survive
+    one, so the exception raised does not depend on the process that drew
+    the trial. ``_run_trial`` is looked up at each trial, so it can be
+    patched by name.
+    """
+    import pickle
+
+    block = _block(report.trials)
+    while record := os.read(queue, 4):
+        if len(record) != 4:
+            raise RuntimeError(f"the fuzz queue returned a {len(record)}-byte record")
+        first = int.from_bytes(record, "little")
+        for index in range(first, min(first + block, report.trials)):
+            try:
+                _run_trial(report, index, budget)
+            except Exception as exc:
+                _drain(queue)
+                try:
+                    return index, pickle.loads(pickle.dumps(exc))
+                except Exception:  # an exception that does not survive pickling
+                    return index, RuntimeError(f"{type(exc).__name__}: {exc}")
+    return None
+
+
+def _child(report: FuzzReport, queue: int, budget: dict, w: int, inherited: list[int]) -> None:
+    """Body of a forked worker: run trials drawn from ``queue`` into a fresh
+    report, write ``(error, checks_run, failures, skipped)`` to the pipe
+    ``w``, ``error`` being what ``_work`` returned, and leave by
+    ``os._exit``, so no inherited buffer is flushed and no exit handler runs
+    twice. Never returns."""
     import pickle
 
     code = 1
@@ -277,16 +338,8 @@ def _child(report: FuzzReport, indices: range, budget: dict, w: int, inherited: 
         for fd in inherited:
             os.close(fd)
         part = FuzzReport(report.seed, report.trials, report.n_range, report.p_range, report.k_set)
-        try:
-            for index in indices:
-                _run_trial(part, index, budget)
-            data = pickle.dumps((part.checks_run, part.failures, part.skipped))
-        except Exception as exc:
-            try:
-                data = pickle.dumps(exc)
-                pickle.loads(data)
-            except Exception:  # an exception that does not survive pickling
-                data = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        error = _work(part, queue, budget)
+        data = pickle.dumps((error, part.checks_run, part.failures, part.skipped))
         with open(w, "wb") as pipe:
             pipe.write(data)
         code = 0

@@ -3,9 +3,11 @@ import importlib
 import json
 import os
 import random
+import select
 import subprocess
 import sys
 import threading
+import time
 import types
 from pathlib import Path
 
@@ -233,6 +235,13 @@ class TwoArgError(Exception):
         self.index = index
 
 
+def _open_fds():
+    """The file descriptors this process holds open."""
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to count open file descriptors in")
+    return len(os.listdir("/proc/self/fd"))
+
+
 def _raise_at(monkeypatch, failing, action):
     """Make ``_run_trial`` call ``action(index)`` for each index in ``failing``."""
     run_trial = fuzz_module._run_trial
@@ -246,14 +255,13 @@ def _raise_at(monkeypatch, failing, action):
 
 
 class TestSplit:
-    """Trials split over forked workers give the one-process report."""
+    """Trials drawn by forked workers from one queue give the one-process report."""
 
     def test_same_bytes_for_any_worker_count(self, cpus):
         for count in (1, 2, 3, 5):
             forks = cpus(count)
             assert _sha256(_pinned_run()) == PINNED_SHA256, count
             assert len(forks) == count - 1
-        # 43 trials split 21 + 22, 14 + 14 + 15 and 8 + 8 + 9 + 9 + 9
         cpus(1)
         want = fuzz(seed=9, trials=43, n_range=(4, 10), k_set=(1, 3)).to_dict()
         for count in (2, 3, 5):
@@ -276,8 +284,54 @@ class TestSplit:
         cpus(3)
         assert _pinned_run().failures == want.failures
 
+    def test_same_bytes_under_a_lopsided_schedule(self, cpus, monkeypatch):
+        # the calling process sleeps before each of its trials, so the children
+        # draw most of the queue and the calling process's share is scattered
+        parent, ran = os.getpid(), []
+        run_trial = fuzz_module._run_trial
+
+        def run(report, index, budget):
+            if os.getpid() == parent:
+                ran.append(index)
+                time.sleep(0.002)
+            run_trial(report, index, budget)
+
+        cpus(1)
+        want = fuzz(seed=9, trials=43, n_range=(4, 10), k_set=(1, 3)).to_dict()
+        monkeypatch.setattr(fuzz_module, "_run_trial", run)
+        for count in (2, 3):
+            cpus(count)
+            ran.clear()
+            assert _sha256(_pinned_run()) == PINNED_SHA256, count
+            assert len(ran) < 40
+            assert fuzz(seed=9, trials=43, n_range=(4, 10), k_set=(1, 3)).to_dict() == want
+
+    def test_every_trial_runs_once_in_blocks(self, cpus, monkeypatch):
+        def run(report, index, budget):
+            report.failures.append({"trial": index})
+
+        monkeypatch.setattr(fuzz_module, "_run_trial", run)
+        assert [fuzz_module._block(t) for t in (43, 1024, 1025, 2500)] == [1, 1, 2, 3]
+        fds = _open_fds()
+        for trials in (43, 1024, 2500):
+            for count in (2, 3, 5):
+                forks = cpus(count)
+                report = fuzz(seed=1, trials=trials)
+                assert report.failures == [{"trial": i} for i in range(trials)], (trials, count)
+                assert len(forks) == count - 1
+                assert _open_fds() == fds
+
+    def test_torn_queue_record_raises(self, cpus, monkeypatch):
+        read = os.read
+        monkeypatch.setattr(os, "read", lambda fd, size: read(fd, 3 if size == 4 else size))
+        cpus(2)
+        fds = _open_fds()
+        with pytest.raises(RuntimeError, match="3-byte record"):
+            _pinned_run()
+        assert _open_fds() == fds
+
     def test_child_exception_raised(self, cpus, monkeypatch):
-        cpus(2)  # the child runs trials 20..39
+        cpus(2)  # either process may draw any trial
 
         def fail(index):
             raise ValueError(f"trial {index}")
@@ -304,14 +358,71 @@ class TestSplit:
             with pytest.raises(RuntimeError, match=f"^{name}: trial 30$"):
                 _pinned_run()
 
+    def test_lowest_failing_trial_raised(self, cpus, monkeypatch):
+        class LocalError(Exception):
+            pass
+
+        def fail(index):
+            raise LocalError(f"trial {index}")
+
+        # every worker stops at its first failing trial, whichever it drew
+        _raise_at(monkeypatch, set(range(30, 40)), fail)
+        fds = _open_fds()
+        for count in (2, 3):
+            cpus(count)
+            for _ in range(5):
+                with pytest.raises(RuntimeError, match="^LocalError: trial 30$"):
+                    _pinned_run()
+                assert _open_fds() == fds
+
+    def test_calling_process_error_empties_the_queue(self, cpus, monkeypatch, tmp_path):
+        parent, log = os.getpid(), tmp_path / "ran"
+
+        def run(report, index, budget):
+            if os.getpid() == parent:
+                raise ValueError(f"trial {index} in the calling process")
+            with open(log, "a") as fh:  # one append per trial, from any child
+                fh.write(f"{index}\n")
+            time.sleep(0.001)  # about as long as a small real trial
+
+        monkeypatch.setattr(fuzz_module, "_run_trial", run)
+        cpus(3)
+        fds = _open_fds()
+        with pytest.raises(ValueError, match="in the calling process$"):
+            fuzz(seed=1, trials=2000)
+        assert _open_fds() == fds
+        ran = log.read_text().split() if log.exists() else []
+        assert len(ran) < 100  # the children stopped after their current trial
+
     def test_child_dying_without_result(self, cpus, monkeypatch, capsys):
         cpus(2)
-        _raise_at(monkeypatch, {30}, lambda index: os._exit(3))
-        with pytest.raises(RuntimeError, match="exited with status 3"):
-            _pinned_run()
-        # an internal error, never "fuzz found a violation"
-        assert main(["fuzz", "--trials", "40"]) == 4
-        assert "internal error" in capsys.readouterr().err
+        parent = os.getpid()
+        died, dying = os.pipe()
+        run_trial = fuzz_module._run_trial
+        waited = []
+
+        def run(report, index, budget):
+            if os.getpid() != parent:  # only a forked child exits
+                os.write(dying, b"!")
+                os._exit(3)
+            if all(report is not r for r in waited):
+                # the calling process goes on once the child of this call died,
+                # so the child has drawn a trial
+                waited.append(report)
+                assert select.select([died], [], [], 60)[0]
+                os.read(died, 1)
+            run_trial(report, index, budget)
+
+        monkeypatch.setattr(fuzz_module, "_run_trial", run)
+        try:
+            with pytest.raises(RuntimeError, match="exited with status 3"):
+                _pinned_run()
+            # an internal error, never "fuzz found a violation"
+            assert main(["fuzz", "--trials", "40"]) == 4
+            assert "internal error" in capsys.readouterr().err
+        finally:
+            os.close(died)
+            os.close(dying)
 
     def test_no_fork_beside_another_thread(self, monkeypatch, no_child_left):
         def fork():
